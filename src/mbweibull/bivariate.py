@@ -12,7 +12,9 @@ from .copulas import (
     copula_density,
 )
 from .errors import DomainError, SingularityError, SurvivalUnderflowError
-from .univariate import WeibullParams, weibull_cdf, weibull_pdf
+from .univariate import (
+    WeibullParams, _arrays, _check_nonneg, _out, _scalar, weibull_cdf, weibull_pdf
+)
 
 __all__ = ["BivariateWeibull", "bvw_cdf", "bvw_pdf", "bvw_survival", "bvw_hazard"]
 
@@ -26,19 +28,6 @@ class BivariateWeibull:
     copula: CopulaSpec
 
 
-def _scalar(*inputs) -> bool:
-    return all(np.ndim(v) == 0 for v in inputs)
-
-
-def _out(arr, scalar):
-    return float(arr) if scalar else arr
-
-
-def _check_nonneg(x, y):
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("lifetimes must be nonnegative")
-
-
 def _exponents(x, y, m: BivariateWeibull):
     """The (x/beta1)^alpha1 and (y/beta2)^alpha2 terms."""
     A = (x / m.margin1.scale) ** m.margin1.shape
@@ -48,9 +37,7 @@ def _exponents(x, y, m: BivariateWeibull):
 
 def bvw_cdf(x, y, m: BivariateWeibull):
     """Joint CDF C(F1(x), F2(y))."""
-    scalar = _scalar(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    scalar, x, y = _arrays(x, y)
     _check_nonneg(x, y)
     return _out(
         copula_cdf(weibull_cdf(x, m.margin1), weibull_cdf(y, m.margin2), m.copula),
@@ -81,6 +68,13 @@ def _gfgm_pdf(x, y, m: BivariateWeibull):
     return base * (1 + c.rho * (1 - eA) ** (c.b - 1) * (1 - eB) ** (c.b - 1) * D)
 
 
+def _use_closed(method: str, m: BivariateWeibull) -> bool:
+    gfgm = isinstance(m.copula, GfgmParams)
+    if method == "closed" and not gfgm:
+        raise DomainError("closed-form path requires a GFGM copula")
+    return method == "closed" or (method == "auto" and gfgm)
+
+
 def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
     """Joint density f1(x) f2(y) c(F1(x), F2(y)).
 
@@ -88,9 +82,7 @@ def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
     form, "compose" the generic marginal-times-copula-density composition,
     and "auto" picks the closed form whenever the copula is GFGM.
     """
-    scalar = _scalar(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    scalar, x, y = _arrays(x, y)
     _check_nonneg(x, y)
     if (m.margin1.shape < 1 and np.any(x == 0)) or (
         m.margin2.shape < 1 and np.any(y == 0)
@@ -98,12 +90,7 @@ def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
         raise SingularityError(
             "joint density is unbounded at a zero coordinate with shape < 1"
         )
-    use_closed = method == "closed" or (
-        method == "auto" and isinstance(m.copula, GfgmParams)
-    )
-    if use_closed:
-        if not isinstance(m.copula, GfgmParams):
-            raise DomainError("closed-form path requires a GFGM copula")
+    if _use_closed(method, m):
         return _out(_gfgm_pdf(x, y, m), scalar)
     u = weibull_cdf(x, m.margin1)
     v = weibull_cdf(y, m.margin2)
@@ -121,16 +108,9 @@ def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
 
 def bvw_survival(x, y, m: BivariateWeibull, method: str = "auto"):
     """Joint survival 1 - F1 - F2 + C(F1, F2)."""
-    scalar = _scalar(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    scalar, x, y = _arrays(x, y)
     _check_nonneg(x, y)
-    use_closed = method == "closed" or (
-        method == "auto" and isinstance(m.copula, GfgmParams)
-    )
-    if use_closed:
-        if not isinstance(m.copula, GfgmParams):
-            raise DomainError("closed-form path requires a GFGM copula")
+    if _use_closed(method, m):
         c = m.copula
         A, B = _exponents(x, y, m)
         eA = np.exp(-A)

@@ -17,14 +17,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bivariate import BivariateWeibull
-from .copulas import GaussianCopulaParams, GfgmParams
 from .errors import ConvergenceError, DegenerateDataError, DomainError, NoClusterError
 from .fitting import deviance_test, fit_m1, fit_m2, fit_mbw
-from .mixture import MbwParams, hazard_grid, hazard_grid_csv
+from .mixture import DEFAULT_PARAMS, PARAM_NAMES, hazard_grid, hazard_grid_csv, mbw_params
 from .sampler import SeededStream, sample_mbw
 from .studies import StudyConfig, run_study
-from .univariate import RectUniform, WeibullParams
 from .vannman import VANNMAN_DATA
 
 EXIT_OK = 0
@@ -55,33 +52,20 @@ def _write_manifest(out_path, command, params, seed=None, input_path=None):
         fh.write("\n")
 
 
-def _model_params(args) -> MbwParams:
-    if args.copula == "gfgm":
-        cop = GfgmParams(rho=args.rho, a=args.copula_a, b=args.copula_b)
-    else:
-        cop = GaussianCopulaParams(rho=args.rho)
-    return MbwParams(
-        base=BivariateWeibull(
-            WeibullParams(args.alpha1, args.beta1),
-            WeibullParams(args.alpha2, args.beta2),
-            cop,
-        ),
-        rect=RectUniform(0.0, 0.0, args.d),
-        p=args.p,
-    )
+_COPULA_FLAGS = ("copula", "copula_a", "copula_b")
 
 
-def _add_model_flags(p):
-    p.add_argument("--alpha1", type=float, default=4.0)
-    p.add_argument("--beta1", type=float, default=1.5)
-    p.add_argument("--alpha2", type=float, default=3.5)
-    p.add_argument("--beta2", type=float, default=5.0)
-    p.add_argument("--rho", type=float, default=0.6)
-    p.add_argument("--d", type=float, default=0.1)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--copula", choices=["gfgm", "gaussian"], default="gfgm")
-    p.add_argument("--copula-a", type=float, default=1.0)
-    p.add_argument("--copula-b", type=float, default=1.0)
+def _flags(args, names=tuple(DEFAULT_PARAMS)) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _add_model_flags(p, names=tuple(DEFAULT_PARAMS)):
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        if name == "copula":
+            p.add_argument(flag, choices=["gfgm", "gaussian"], default=DEFAULT_PARAMS[name])
+        else:
+            p.add_argument(flag, type=float, default=DEFAULT_PARAMS[name])
 
 
 def _read_xy_csv(path) -> np.ndarray:
@@ -99,7 +83,7 @@ def _read_xy_csv(path) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    m = _model_params(args)
+    m = mbw_params(**_flags(args))
     pts = sample_mbw(args.n, m, SeededStream(seed=args.seed))
     with open(args.out, "w") as fh:
         fh.write("x,y\n")
@@ -108,19 +92,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(
         args.out,
         "simulate",
-        {
-            "n": args.n,
-            "alpha1": args.alpha1,
-            "beta1": args.beta1,
-            "alpha2": args.alpha2,
-            "beta2": args.beta2,
-            "rho": args.rho,
-            "d": args.d,
-            "p": args.p,
-            "copula": args.copula,
-            "copula_a": args.copula_a,
-            "copula_b": args.copula_b,
-        },
+        _flags(args, ("n", *DEFAULT_PARAMS)),
         seed=args.seed,
     )
     return EXIT_OK
@@ -166,7 +138,7 @@ def cmd_fit(args) -> int:
         _write_manifest(
             args.out,
             "fit",
-            {"model": args.model, "copula": args.copula, "minpts": args.minpts, "eps": args.eps},
+            _flags(args, ("model", "minpts", "eps", *_COPULA_FLAGS)),
             input_path=None if args.data == "vannman" else args.data,
         )
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
@@ -176,21 +148,11 @@ def cmd_study(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     tp = raw.get("true_params", {})
-    if raw.get("copula", "gfgm") == "gfgm":
-        cop = GfgmParams(
-            rho=tp.get("rho", 0.6), a=raw.get("copula_a", 1.0), b=raw.get("copula_b", 1.0)
-        )
-    else:
-        cop = GaussianCopulaParams(rho=tp.get("rho", 0.6))
-    params = MbwParams(
-        base=BivariateWeibull(
-            WeibullParams(tp.get("alpha1", 4.0), tp.get("beta1", 1.5)),
-            WeibullParams(tp.get("alpha2", 3.5), tp.get("beta2", 5.0)),
-            cop,
-        ),
-        rect=RectUniform(0.0, 0.0, tp.get("d", 0.1)),
-        p=tp.get("p", 0.3),
-    )
+    unknown = sorted(set(tp) - set(PARAM_NAMES))
+    if unknown:
+        raise DomainError(f"unknown true_params key(s): {', '.join(unknown)}")
+    flat = {**DEFAULT_PARAMS, **tp, **{k: raw[k] for k in _COPULA_FLAGS if k in raw}}
+    params = mbw_params(**flat)
     eps_by_n = {int(k): float(v) for k, v in raw.get("eps_by_n", {}).items()} or None
     cfg = StudyConfig(
         true_params=params,
@@ -199,9 +161,9 @@ def cmd_study(args) -> int:
         level=float(raw.get("level", 0.95)),
         base_seed=int(raw.get("base_seed", args.seed)),
         min_pts=int(raw.get("min_pts", 4)),
-        copula_family=raw.get("copula", "gfgm"),
-        copula_a=float(raw.get("copula_a", 1.0)),
-        copula_b=float(raw.get("copula_b", 1.0)),
+        copula_family=flat["copula"],
+        copula_a=float(flat["copula_a"]),
+        copula_b=float(flat["copula_b"]),
         workers=int(raw.get("workers", args.workers)),
         **({"eps_by_n": eps_by_n} if eps_by_n else {}),
     )
@@ -240,42 +202,24 @@ def cmd_vannman(args) -> int:
     print(f"{'model':<6}{'loglik':>12}{'AIC':>12}")
     for r in (m1, m2, m3):
         print(f"{r.model:<6}{r.loglik:>12.4f}{r.aic:>12.4f}")
-    d21 = deviance_test(m2, m1)
-    d32 = deviance_test(m3, m2)
-    print(
-        f"deviance m2 vs m1: stat={d21['statistic']:.2f} df={d21['df']} "
-        f"p={d21['p_value']:.3g}"
-    )
-    print(
-        f"deviance m3 vs m2: stat={d32['statistic']:.2f} df={d32['df']} "
-        f"p={d32['p_value']:.3g}"
-    )
+    for full, reduced in ((m2, m1), (m3, m2)):
+        dev = deviance_test(full, reduced)
+        print(
+            f"deviance {full.model} vs {reduced.model}: stat={dev['statistic']:.2f} "
+            f"df={dev['df']} p={dev['p_value']:.3g}"
+        )
     return EXIT_OK
 
 
 def cmd_hazard_grid(args) -> int:
-    m = _model_params(args)
+    m = mbw_params(**_flags(args))
     grid = hazard_grid(m, args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     with open(args.out, "w") as fh:
         fh.write(hazard_grid_csv(grid))
     _write_manifest(
         args.out,
         "hazard-grid",
-        {
-            "x_min": args.x_min,
-            "x_max": args.x_max,
-            "y_min": args.y_min,
-            "y_max": args.y_max,
-            "step": args.step,
-            "alpha1": args.alpha1,
-            "beta1": args.beta1,
-            "alpha2": args.alpha2,
-            "beta2": args.beta2,
-            "rho": args.rho,
-            "d": args.d,
-            "p": args.p,
-            "copula": args.copula,
-        },
+        _flags(args, ("x_min", "x_max", "y_min", "y_max", "step", *DEFAULT_PARAMS)),
     )
     return EXIT_OK
 
@@ -297,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit model m1, m2, or m3 to x,y CSV data")
     p.add_argument("--data", required=True, help="CSV path, or 'vannman'")
     p.add_argument("--model", choices=["m1", "m2", "m3"], default="m3")
-    p.add_argument("--copula", choices=["gfgm", "gaussian"], default="gfgm")
-    p.add_argument("--copula-a", type=float, default=1.0)
-    p.add_argument("--copula-b", type=float, default=1.0)
+    _add_model_flags(p, _COPULA_FLAGS)
     p.add_argument("--minpts", type=int, default=4)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--out", default=None)

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import ConvergenceError, DomainError
+from .univariate import _arrays, _out
 
 __all__ = [
     "GfgmParams",
@@ -60,14 +61,6 @@ def _check_unit_square(u, v):
         raise DomainError("copula arguments must lie in the unit square")
 
 
-def _scalar(*inputs) -> bool:
-    return all(np.ndim(v) == 0 for v in inputs)
-
-
-def _out(arr, scalar):
-    return float(np.asarray(arr).reshape(())) if scalar else arr
-
-
 # ---------------------------------------------------------------------------
 # bivariate standard normal CDF
 
@@ -77,11 +70,9 @@ def std_bivariate_normal_cdf(z1, z2, rho):
     Uses Owen's T function, which is deterministic and accurate to well
     below 1e-10 over the whole plane.
     """
-    scalar = _scalar(z1, z2)
+    scalar, z1, z2 = _arrays(z1, z2)
     if not -1 < rho < 1:
         raise DomainError("requires |rho| < 1")
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
     if rho == 0.0:
         return _out(ndtr(z1) * ndtr(z2), scalar)
 
@@ -170,9 +161,7 @@ def _gfgm_conditional_quantile(t, u, c: GfgmParams, tol=1e-10, max_iter=200):
 
 def copula_cdf(u, v, c: CopulaSpec):
     """Copula CDF C(u, v) for either family."""
-    scalar = _scalar(u, v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    scalar, u, v = _arrays(u, v)
     _check_unit_square(u, v)
     if isinstance(c, GfgmParams):
         return _out(_gfgm_cdf(u, v, c), scalar)
@@ -193,9 +182,7 @@ def copula_cdf(u, v, c: CopulaSpec):
 
 def copula_density(u, v, c: CopulaSpec):
     """Copula density c(u, v)."""
-    scalar = _scalar(u, v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    scalar, u, v = _arrays(u, v)
     if isinstance(c, GfgmParams):
         _check_unit_square(u, v)
         return _out(_gfgm_density(u, v, c), scalar)
@@ -211,9 +198,7 @@ def copula_density(u, v, c: CopulaSpec):
 
 def conditional_cdf(v, u, c: CopulaSpec):
     """Conditional distribution C_u(v) = P(V <= v | U = u) = dC/du."""
-    scalar = _scalar(u, v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    scalar, u, v = _arrays(u, v)
     if np.any((u <= 0) | (u >= 1)):
         raise DomainError("conditioning value u must lie in (0, 1)")
     if np.any((v < 0) | (v > 1)):
@@ -233,9 +218,7 @@ def conditional_quantile(t, u, c: CopulaSpec, tol=1e-10, max_iter=200):
     Closed form for the Gaussian family; safeguarded Newton-Raphson with
     bisection fallback for GFGM.
     """
-    scalar = _scalar(t, u)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
+    scalar, t, u = _arrays(t, u)
     if np.any((t <= 0) | (t >= 1)) or np.any((u <= 0) | (u >= 1)):
         raise DomainError("conditional quantile requires t, u in (0, 1)")
     if isinstance(c, GfgmParams):

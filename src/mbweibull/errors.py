@@ -26,3 +26,11 @@ class DegenerateDataError(ValueError):
 class SurvivalUnderflowError(ArithmeticError):
     """The survival function underflowed to zero, so the hazard ratio is
     not representable."""
+
+
+# every error type above: a fit that raises one of these failed on its
+# data, anything else is a bug
+PACKAGE_ERRORS = (
+    DomainError, SingularityError, ConvergenceError, NoClusterError, DegenerateDataError,
+    SurvivalUnderflowError,
+)

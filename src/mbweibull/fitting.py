@@ -9,26 +9,25 @@ form) and M2 (FGM-coupled exponential margins).
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, stats
 from scipy.special import expit, logit, ndtr
 
-from .bivariate import BivariateWeibull, bvw_pdf
+from .bivariate import bvw_pdf
 from .clustering import ClusterLabels, DbscanParams, dbscan, origin_cluster_mask, select_eps
-from .copulas import GaussianCopulaParams, GfgmParams
 from .errors import (
+    PACKAGE_ERRORS,
     ConvergenceError,
     DegenerateDataError,
     DomainError,
     SingularityError,
 )
-from .mixture import MbwParams
-from .univariate import RectUniform, WeibullParams
+from .mixture import MbwParams, mbw_params
 
 __all__ = [
     "FitResult",
-    "ParamTransform",
     "loglik_mbw",
     "estimate_d",
     "fit_mbw",
@@ -85,41 +84,6 @@ class FitResult:
         kwargs.setdefault("sort_keys", True)
         kwargs.setdefault("indent", 2)
         return json.dumps(self.to_dict(), **kwargs)
-
-
-class ParamTransform:
-    """Bijection between the constrained model space and the optimizer's
-    unconstrained space: log for positive parameters, atanh for rho in
-    (-1, 1), log-odds for p in (0, 1)."""
-
-    def __init__(self, kinds):
-        self.kinds = list(kinds)
-
-    def to_unconstrained(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        for i, kind in enumerate(self.kinds):
-            if kind == "log":
-                out[i] = np.log(theta[i])
-            elif kind == "tanh":
-                out[i] = np.arctanh(theta[i])
-            elif kind == "logit":
-                out[i] = logit(theta[i])
-            else:
-                raise ValueError(f"unknown transform kind {kind!r}")
-        return out
-
-    def from_unconstrained(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        for i, kind in enumerate(self.kinds):
-            if kind == "log":
-                out[i] = np.exp(z[i])
-            elif kind == "tanh":
-                out[i] = np.tanh(z[i])
-            elif kind == "logit":
-                out[i] = expit(z[i])
-        return out
 
 
 def _as_data(data) -> np.ndarray:
@@ -184,43 +148,132 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def _make_mbw(theta, d, copula_family, a, b) -> MbwParams:
-    a1, b1, a2, b2, rho, p = theta
-    if copula_family == "gfgm":
-        cop = GfgmParams(rho=rho, a=a, b=b)
-    else:
-        cop = GaussianCopulaParams(rho=np.clip(rho, -_GAUSS_RHO_CAP, _GAUSS_RHO_CAP))
-    return MbwParams(
-        base=BivariateWeibull(WeibullParams(a1, b1), WeibullParams(a2, b2), cop),
-        rect=RectUniform(0.0, 0.0, d),
-        p=p,
-    )
+# Each parameter kind fixes the optimizer's transform to an unconstrained
+# coordinate, its inverse, and the distance from a value to the edge of
+# the parameter space, which caps the Hessian step in compute_se.
+_KINDS = {
+    "scale": (np.log, np.exp, lambda t: np.inf),
+    # a shape can hug 1 when the data holds exact zeros
+    "shape": (np.log, np.exp, lambda t: t - 1.0 if t > 1 else np.inf),
+    "tanh": (np.arctanh, np.tanh, lambda t: 1.0 - abs(t)),
+    "logit": (logit, expit, lambda t: min(t, 1.0 - t)),
+}
+
+# The nested family M2 within M3, by model name: the free parameters and
+# their kinds, k, and the gap below which the fit flags a tanh or logit
+# parameter as on its boundary. M2 is M3 with shapes fixed at 1, a GFGM
+# copula with a = b = 1 and no uniform component; M3's k counts its
+# plugged-in d.
+_MEMBERS = {
+    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "tanh"}, 3, 1e-3),
+    "m3": ({"alpha1": "shape", "beta1": "scale", "alpha2": "shape", "beta2": "scale",
+            "rho": "tanh", "p": "logit"}, 7, 1e-4),
+}
 
 
-def _safe_loglik_mbw(data, theta, d, copula_family, a, b) -> float:
-    try:
-        ll = loglik_mbw(data, _make_mbw(theta, d, copula_family, a, b))
-    except (SingularityError, DomainError, FloatingPointError):
-        return -np.inf
-    return ll if np.isfinite(ll) else -np.inf
+def _to_free(kinds, theta) -> np.ndarray:
+    return np.array([_KINDS[k][0](t) for k, t in zip(kinds, theta)])
 
 
-def _nelder_mead(fn, z0, max_evals, fatol=1e-8):
+def _from_free(kinds, z) -> np.ndarray:
+    return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
+
+
+@dataclass(frozen=True)
+class _Member:
+    """One member of the nested family on one dataset, with its
+    log-likelihood over the free parameters in ``kinds`` order and the
+    plugged-in parameters reported beside the estimates."""
+
+    model: str
+    kinds: dict
+    k: int
+    flag_tol: float
+    loglik: Callable
+    fixed: dict
+
+
+def _member(model, data, d=None, family="gfgm", a=1.0, b=1.0) -> _Member:
+    """Member ``model`` of the family on ``data``; M3 also takes its
+    plugged-in d and its copula."""
+    if model not in _MEMBERS:
+        raise DomainError(f"unknown model {model!r}")
+    kinds, k, flag_tol = _MEMBERS[model]
+    if model == "m2":
+        return _Member(model, kinds, k, flag_tol, lambda theta: _m2_loglik(data, theta), {})
+
+    def loglik(theta):
+        a1, b1, a2, b2, rho, p = theta
+        if family == "gaussian":
+            rho = np.clip(rho, -_GAUSS_RHO_CAP, _GAUSS_RHO_CAP)
+        try:
+            ll = loglik_mbw(data, mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b))
+        except (SingularityError, DomainError, FloatingPointError):
+            return -np.inf
+        return ll if np.isfinite(ll) else -np.inf
+
+    return _Member(model, kinds, k, flag_tol, loglik, {"d": d})
+
+
+def _start(data, member: _Member, p=None) -> np.ndarray:
+    """Optimizer start: shapes 1.5, scales at the margin means, rho at the
+    Spearman rank correlation, and p as given."""
+    x, y = data[:, 0], data[:, 1]
+    guess = {
+        "alpha1": 1.5,
+        "beta1": x.mean() or 1.0,
+        "alpha2": 1.5,
+        "beta2": y.mean() or 1.0,
+        "rho": float(np.clip(_spearman(x, y), -0.95, 0.95)),
+        "p": p,
+    }
+    return np.array([guess[nm] for nm in member.kinds])
+
+
+def _fit(data, member: _Member, theta0, max_evals, compute_ses, diagnostics=None, extras=None):
+    """Maximize the member's log-likelihood by Nelder-Mead in the kinds'
+    unconstrained space, starting from ``theta0``."""
+    kinds = list(member.kinds.values())
+
+    def neg(z):
+        return -member.loglik(_from_free(kinds, z))
+
+    z0 = _to_free(kinds, theta0)
+    if "shape" in kinds and not np.isfinite(neg(z0)):
+        # shape start of 1.5 can be rejected only in pathological data;
+        # retry from shapes just above 1
+        theta0 = np.where(np.array(kinds) == "shape", 1.05, theta0)
+        z0 = _to_free(kinds, theta0)
     # fixed initial simplex: +0.1 along each transformed coordinate
-    n = len(z0)
-    simplex = np.vstack([z0, z0 + 0.1 * np.eye(n)])
+    simplex = np.vstack([z0, z0 + 0.1 * np.eye(len(z0))])
     res = optimize.minimize(
-        fn,
+        neg,
         z0,
         method="Nelder-Mead",
-        options={
-            "maxfev": max_evals,
-            "fatol": fatol,
-            "xatol": 1e-6,
-            "initial_simplex": simplex,
-        },
+        options={"maxfev": max_evals, "fatol": 1e-8, "xatol": 1e-6, "initial_simplex": simplex},
     )
-    return res
+    ll = float(-res.fun)
+    result = FitResult(
+        model=member.model,
+        estimates={**dict(zip(member.kinds, _from_free(kinds, res.x).tolist())), **member.fixed},
+        loglik=ll,
+        k=member.k,
+        converged=bool(res.success and np.isfinite(ll)),
+        iterations=int(res.nit),
+        n_evals=int(res.nfev),
+        diagnostics=diagnostics or {},
+        extras=extras or {},
+    )
+    # only tanh and logit map onto a bounded interval the optimizer can run
+    # into; flags are listed by name
+    for nm, kind in sorted(member.kinds.items()):
+        if kind in ("tanh", "logit") and _KINDS[kind][2](result.estimates[nm]) < member.flag_tol:
+            result.boundary_flags.append(nm)
+    if not result.converged:
+        result.diagnostics["message"] = str(res.message)
+    if compute_ses:
+        compute_se(data, result)
+    return result
 
 
 def fit_mbw(
@@ -248,59 +301,28 @@ def fit_mbw(
         eps = select_eps(data, min_pts)
     d_hat, c1 = estimate_d(data, DbscanParams(min_pts=min_pts, eps=eps))
 
-    x, y = data[:, 0], data[:, 1]
-    n = len(data)
-    p0 = np.clip(len(c1) / n, 1e-3, 1 - 1e-3)
-    rho0 = float(np.clip(_spearman(x, y), -0.95, 0.95))
-    theta0 = np.array([1.5, x.mean() or 1.0, 1.5, y.mean() or 1.0, rho0, p0])
-    transform = ParamTransform(["log", "log", "log", "log", "tanh", "logit"])
+    member = _member("m3", data, d_hat, copula_family, a, b)
+    p0 = np.clip(len(c1) / len(data), 1e-3, 1 - 1e-3)
+    diagnostics = {
+        "d_hat": d_hat,
+        "eps": float(eps),
+        "min_pts": int(min_pts),
+        "n_c1": int(len(c1)),
+        "copula_family": copula_family,
+        "copula_a": a,
+        "copula_b": b,
+    }
+    theta0 = _start(data, member, p0)
+    return _fit(data, member, theta0, max_evals, compute_ses, diagnostics, {"c1_points": c1})
 
-    def neg(z):
-        return -_safe_loglik_mbw(
-            data, transform.from_unconstrained(z), d_hat, copula_family, a, b
-        )
 
-    z0 = transform.to_unconstrained(theta0)
-    if not np.isfinite(neg(z0)):
-        # shape start of 1.5 can be rejected only in pathological data;
-        # retry from shapes just above 1
-        theta0[[0, 2]] = 1.05
-        z0 = transform.to_unconstrained(theta0)
-    res = _nelder_mead(neg, z0, max_evals)
-    theta = transform.from_unconstrained(res.x)
-    names = ["alpha1", "beta1", "alpha2", "beta2", "rho", "p"]
-    estimates = dict(zip(names, theta.tolist()))
-    estimates["d"] = d_hat
-    ll = -res.fun
-
-    result = FitResult(
-        model="m3",
-        estimates=estimates,
-        loglik=float(ll),
-        k=7,
-        converged=bool(res.success and np.isfinite(ll)),
-        iterations=int(res.nit),
-        n_evals=int(res.nfev),
-        diagnostics={
-            "d_hat": d_hat,
-            "eps": float(eps),
-            "min_pts": int(min_pts),
-            "n_c1": int(len(c1)),
-            "copula_family": copula_family,
-            "copula_a": a,
-            "copula_b": b,
-        },
-        extras={"c1_points": c1},
-    )
-    if abs(estimates["p"]) > 1 - 1e-4 or estimates["p"] < 1e-4:
-        result.boundary_flags.append("p")
-    if abs(estimates["rho"]) > 1 - 1e-4:
-        result.boundary_flags.append("rho")
-    if not result.converged:
-        result.diagnostics["message"] = str(res.message)
-    if compute_ses:
-        compute_se(data, result)
-    return result
+def _m1_se(result: FitResult, n: int) -> dict:
+    """M1's closed-form standard errors beta / sqrt(n), set on ``result``
+    with their p-values."""
+    est = result.estimates
+    result.std_errors = {k: est[k] / np.sqrt(n) for k in ("beta1", "beta2")}
+    result.p_values = {k: _wald_p(est[k], se) for k, se in result.std_errors.items()}
+    return result.std_errors
 
 
 def fit_m1(data) -> FitResult:
@@ -313,17 +335,11 @@ def fit_m1(data) -> FitResult:
     if b1 <= 0 or b2 <= 0:
         raise DegenerateDataError("a margin has zero mean")
     ll = -n * (np.log(b1) + 1.0) - n * (np.log(b2) + 1.0)
-    se = {"beta1": b1 / np.sqrt(n), "beta2": b2 / np.sqrt(n)}
-    pv = {k: _wald_p(est, se[k]) for k, est in (("beta1", b1), ("beta2", b2))}
-    return FitResult(
-        model="m1",
-        estimates={"beta1": b1, "beta2": b2},
-        loglik=float(ll),
-        k=2,
-        std_errors=se,
-        p_values=pv,
-        converged=True,
+    result = FitResult(
+        model="m1", estimates={"beta1": b1, "beta2": b2}, loglik=float(ll), k=2, converged=True
     )
+    _m1_se(result, n)
+    return result
 
 
 def _m2_loglik(data, theta) -> float:
@@ -341,35 +357,11 @@ def _m2_loglik(data, theta) -> float:
 
 
 def fit_m2(data, max_evals: int = 5000, compute_ses: bool = True) -> FitResult:
-    """FGM-coupled exponential margins (a = b = 1, shapes fixed at 1),
-    fitted over (beta1, beta2, rho)."""
+    """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
+    uniform component), fitted over (beta1, beta2, rho)."""
     data = _as_data(data)
-    x, y = data[:, 0], data[:, 1]
-    theta0 = np.array(
-        [x.mean(), y.mean(), np.clip(_spearman(x, y), -0.95, 0.95)]
-    )
-    transform = ParamTransform(["log", "log", "tanh"])
-
-    def neg(z):
-        return -_m2_loglik(data, transform.from_unconstrained(z))
-
-    res = _nelder_mead(neg, transform.to_unconstrained(theta0), max_evals)
-    theta = transform.from_unconstrained(res.x)
-    estimates = dict(zip(["beta1", "beta2", "rho"], theta.tolist()))
-    result = FitResult(
-        model="m2",
-        estimates=estimates,
-        loglik=float(-res.fun),
-        k=3,
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        n_evals=int(res.nfev),
-    )
-    if abs(estimates["rho"]) > 1 - 1e-3:
-        result.boundary_flags.append("rho")
-    if compute_ses:
-        compute_se(data, result)
-    return result
+    member = _member("m2", data)
+    return _fit(data, member, _start(data, member), max_evals, compute_ses)
 
 
 def _wald_p(est, se) -> float:
@@ -405,50 +397,19 @@ def compute_se(data, result: FitResult) -> dict:
     """
     data = _as_data(data)
     if result.model == "m1":
-        n = len(data)
-        result.std_errors = {
-            "beta1": result.estimates["beta1"] / np.sqrt(n),
-            "beta2": result.estimates["beta2"] / np.sqrt(n),
-        }
-        result.p_values = {
-            k: _wald_p(result.estimates[k], result.std_errors[k])
-            for k in result.std_errors
-        }
-        return result.std_errors
-
-    if result.model == "m2":
-        names = ["beta1", "beta2", "rho"]
-        theta = np.array([result.estimates[k] for k in names])
-
-        def ll(t):
-            return _m2_loglik(data, t)
-
-        bounds_gap = [np.inf, np.inf, 1.0 - abs(theta[2])]
-    elif result.model == "m3":
-        names = ["alpha1", "beta1", "alpha2", "beta2", "rho", "p"]
-        theta = np.array([result.estimates[k] for k in names])
-        d = result.estimates["d"]
-        fam = result.diagnostics.get("copula_family", "gfgm")
-        a = result.diagnostics.get("copula_a", 1.0)
-        b = result.diagnostics.get("copula_b", 1.0)
-
-        def ll(t):
-            return _safe_loglik_mbw(data, t, d, fam, a, b)
-
-        bounds_gap = [
-            np.inf,
-            np.inf,
-            theta[2] - 1.0 if theta[2] > 1 else np.inf,  # alpha2 can hug 1
-            np.inf,
-            1.0 - abs(theta[4]),
-            min(theta[5], 1.0 - theta[5]),
-        ]
-        # alpha1 may also sit against 1 when the data holds exact zeros
-        if theta[0] > 1:
-            bounds_gap[0] = theta[0] - 1.0
-    else:
-        raise DomainError(f"unknown model {result.model!r}")
-
+        return _m1_se(result, len(data))
+    get = result.diagnostics.get
+    member = _member(
+        result.model,
+        data,
+        result.estimates.get("d"),
+        get("copula_family", "gfgm"),
+        get("copula_a", 1.0),
+        get("copula_b", 1.0),
+    )
+    names = list(member.kinds)
+    theta = np.array([result.estimates[k] for k in names])
+    bounds_gap = [_KINDS[kind][2](t) for kind, t in zip(member.kinds.values(), theta)]
     steps = np.array(
         [
             min(1e-4 * max(abs(t), 1.0), g / 4) if np.isfinite(g) else 1e-4 * max(abs(t), 1.0)
@@ -457,7 +418,7 @@ def compute_se(data, result: FitResult) -> dict:
     )
     near_boundary = [nm for nm, g in zip(names, bounds_gap) if g < 1e-3]
     se = {}
-    H = _num_hessian(ll, theta, steps)
+    H = _num_hessian(member.loglik, theta, steps)
     info = -H
     try:
         cov = np.linalg.inv(info)
@@ -494,7 +455,7 @@ def bootstrap(data, fitter, B: int, seed: int, level: float = 0.95):
         sample = data[rng.integers(0, n, size=n)]
         try:
             est = fitter(sample)
-        except Exception:
+        except PACKAGE_ERRORS:
             failures += 1
             continue
         rows.append(est)

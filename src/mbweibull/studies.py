@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError
+from .errors import PACKAGE_ERRORS, DomainError
 from .fitting import d_confidence_interval, fit_mbw
-from .mixture import MbwParams
+from .mixture import PARAM_NAMES, MbwParams, param_dict
 from .sampler import SeededStream, sample_mbw
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "coverage_probability",
     "run_study",
 ]
-
-PARAM_NAMES = ["alpha1", "beta1", "alpha2", "beta2", "rho", "d", "p"]
 
 # per-sample-size DBSCAN radii used by the reference design; select_eps
 # is the fallback for other sample sizes
@@ -111,18 +109,6 @@ def coverage_probability(intervals, truth: float) -> float:
     return hits / len(intervals)
 
 
-def _true_theta(m: MbwParams) -> dict:
-    return {
-        "alpha1": m.base.margin1.shape,
-        "beta1": m.base.margin1.scale,
-        "alpha2": m.base.margin2.shape,
-        "beta2": m.base.margin2.scale,
-        "rho": m.base.copula.rho,
-        "d": m.rect.d,
-        "p": m.p,
-    }
-
-
 def _replicate(args):
     cfg, n, r, eps = args
     stream = SeededStream(seed=cfg.base_seed, stream=n * 1_000_000 + r)
@@ -136,7 +122,7 @@ def _replicate(args):
             min_pts=cfg.min_pts,
             eps=eps,
         )
-    except Exception:
+    except PACKAGE_ERRORS:
         return r, None
     if not np.isfinite(fit.loglik):
         return r, None
@@ -160,7 +146,7 @@ def run_study(cfg: StudyConfig):
     size. Deterministic for a fixed base seed, independent of the worker
     count (replicates map to fixed streams and are aggregated in index
     order)."""
-    truth = _true_theta(cfg.true_params)
+    truth = param_dict(cfg.true_params)
     reports = {}
     for n in cfg.sample_sizes:
         eps = cfg.eps_by_n.get(n)

@@ -49,12 +49,33 @@ class RectUniform:
             raise DomainError("rectangle anchor must be nonnegative")
 
 
-def _scalar(x, *inputs) -> bool:
-    return all(np.ndim(v) == 0 for v in inputs) if inputs else True
+def _scalar(*inputs) -> bool:
+    return all(np.ndim(v) == 0 for v in inputs)
 
 
 def _out(arr, scalar):
-    return float(arr) if scalar else arr
+    return float(np.asarray(arr).reshape(())) if scalar else arr
+
+
+def _arrays(*inputs):
+    """``_scalar(*inputs)`` followed by each input as a float array."""
+    return (_scalar(*inputs), *[np.asarray(v, dtype=float) for v in inputs])
+
+
+def _check_nonneg(*arrays):
+    for a in arrays:
+        if np.any(a < 0):
+            raise DomainError("lifetimes must be nonnegative")
+
+
+def _inside(x, y, r: RectUniform):
+    """Mask of the points in the closed square of ``r``."""
+    return (
+        (x >= r.x0)
+        & (x <= r.x0 + r.d)
+        & (y >= r.y0)
+        & (y <= r.y0 + r.d)
+    )
 
 
 def weibull_cdf(x, p: WeibullParams):
@@ -62,10 +83,8 @@ def weibull_cdf(x, p: WeibullParams):
 
     Accepts scalars or arrays; raises DomainError for negative lifetimes.
     """
-    scalar = _scalar(x, x)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("lifetime must be nonnegative")
+    scalar, x = _arrays(x)
+    _check_nonneg(x)
     return _out(-np.expm1(-((x / p.scale) ** p.shape)), scalar)
 
 
@@ -75,10 +94,8 @@ def weibull_pdf(x, p: WeibullParams):
     Unbounded at x = 0 when shape < 1; that point raises SingularityError
     instead of returning an infinity.
     """
-    scalar = _scalar(x, x)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("lifetime must be nonnegative")
+    scalar, x = _arrays(x)
+    _check_nonneg(x)
     if p.shape < 1 and np.any(x == 0):
         raise SingularityError("Weibull pdf is unbounded at 0 for shape < 1")
     z = x / p.scale
@@ -89,8 +106,7 @@ def weibull_pdf(x, p: WeibullParams):
 
 def weibull_quantile(u, p: WeibullParams):
     """Inverse Weibull CDF: scale * (-log(1-u))^(1/shape) for u in [0, 1)."""
-    scalar = _scalar(u, u)
-    u = np.asarray(u, dtype=float)
+    scalar, u = _arrays(u)
     if np.any((u < 0) | (u >= 1)):
         raise DomainError("quantile level must be in [0, 1)")
     return _out(p.scale * (-np.log1p(-u)) ** (1.0 / p.shape), scalar)
@@ -98,16 +114,8 @@ def weibull_quantile(u, p: WeibullParams):
 
 def rect_pdf(x, y, r: RectUniform):
     """Density of the rectangle uniform: 1/d^2 on the closed square, else 0."""
-    scalar = _scalar(x, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = (
-        (x >= r.x0)
-        & (x <= r.x0 + r.d)
-        & (y >= r.y0)
-        & (y <= r.y0 + r.d)
-    )
-    return _out(np.where(inside, 1.0 / r.d**2, 0.0), scalar)
+    scalar, x, y = _arrays(x, y)
+    return _out(np.where(_inside(x, y, r), 1.0 / r.d**2, 0.0), scalar)
 
 
 def rect_survival(x, y, r: RectUniform):
@@ -117,9 +125,7 @@ def rect_survival(x, y, r: RectUniform):
     branch of the piecewise form (1 before the rectangle, linear along a
     single overlapping axis, bilinear inside, 0 past either far edge).
     """
-    scalar = _scalar(x, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    scalar, x, y = _arrays(x, y)
     sx = np.clip((r.x0 + r.d - x) / r.d, 0.0, 1.0)
     sy = np.clip((r.y0 + r.d - y) / r.d, 0.0, 1.0)
     return _out(sx * sy, scalar)
@@ -131,9 +137,7 @@ def rect_hazard(x, y, r: RectUniform):
     1/((x0+d-x)(y0+d-y)) on the half-open square, +inf past either far
     edge, 0 before the rectangle.
     """
-    scalar = _scalar(x, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    scalar, x, y = _arrays(x, y)
     beyond = (x >= r.x0 + r.d) | (y >= r.y0 + r.d)
     inside = (x >= r.x0) & (y >= r.y0) & ~beyond
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -135,6 +135,16 @@ class TestStudy:
         cfg = self._config(tmp_path, level=1.5)
         assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
 
+    def test_unknown_copula(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, copula="clayton")
+        assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
+        assert "clayton" in capsys.readouterr().err
+
+    def test_misspelt_true_param(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, true_params={"alpha_1": 2.0})
+        assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
+        assert "alpha_1" in capsys.readouterr().err
+
 
 class TestVannman:
     def test_output(self, capsys):
@@ -189,6 +199,17 @@ class TestHazardGrid:
              "--y-max", "0.3", "--step", "5.0", "--out", str(out)]
         ) == EXIT_OK
         assert len(_read(out).decode().strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["hazard-grid", "--x-min", "0.2", "--x-max", "0.3", "--y-min", "0.2", "--y-max", "0.3"],
+        ["fit", "--data", "vannman", "--model", "m1"],
+    ])
+    def test_manifest_records_copula_exponents(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = command + ["--copula-a", "2", "--copula-b", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        params = json.loads(_read(str(out) + ".manifest.json"))["parameters"]
+        assert (params["copula_a"], params["copula_b"]) == (2.0, 3.0)
 
     def test_invalid_grid(self, tmp_path):
         out = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from mbweibull import (
     WeibullParams,
     aic,
     bootstrap,
+    bvw_pdf,
     d_confidence_interval,
     deviance_test,
     estimate_d,
@@ -25,7 +26,7 @@ from mbweibull import (
     vannman_data,
 )
 from mbweibull.errors import DegenerateDataError, DomainError
-from mbweibull.fitting import ParamTransform
+from mbweibull.fitting import _fit, _from_free, _m2_loglik, _member, _to_free
 
 
 def _mix(a1, b1, a2, b2, rho, d, p):
@@ -38,11 +39,11 @@ def _mix(a1, b1, a2, b2, rho, d, p):
     )
 
 
-class TestParamTransform:
+class TestParamKinds:
     def test_roundtrip(self):
-        tr = ParamTransform(["log", "log", "tanh", "logit"])
+        kinds = ["shape", "scale", "tanh", "logit"]
         theta = np.array([2.5, 0.01, -0.73, 0.9])
-        back = tr.from_unconstrained(tr.to_unconstrained(theta))
+        back = _from_free(kinds, _to_free(kinds, theta))
         assert np.allclose(back, theta, rtol=1e-12)
 
 
@@ -141,11 +142,23 @@ class TestFitM2:
     def test_rho_zero_reduces_to_m1(self):
         rng = np.random.default_rng(6)
         data = np.column_stack([rng.exponential(2.0, 80), rng.exponential(0.5, 80)])
-        from mbweibull.fitting import _m2_loglik
-
         m1 = fit_m1(data)
         ll0 = _m2_loglik(data, np.array([m1.estimates["beta1"], m1.estimates["beta2"], 0.0]))
         assert ll0 == pytest.approx(m1.loglik, rel=1e-12)
+
+    def test_kernel_is_m3_bulk_with_unit_shapes(self):
+        # M2 is M3's bivariate Weibull with shapes 1 and GFGM(rho, 1, 1),
+        # including rows on the axes
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            b1, b2 = rng.uniform(0.2, 5.0, 2)
+            rho = rng.uniform(-1.0, 1.0)
+            data = np.column_stack([rng.exponential(b1, 30), rng.exponential(b2, 30)])
+            data[:3, 0] = 0.0
+            data[2:5, 1] = 0.0
+            bulk = BivariateWeibull(WeibullParams(1.0, b1), WeibullParams(1.0, b2), GfgmParams(rho, 1.0, 1.0))
+            expect = np.sum(np.log(bvw_pdf(data[:, 0], data[:, 1], bulk)))
+            assert _m2_loglik(data, np.array([b1, b2, rho])) == pytest.approx(expect, rel=1e-12)
 
     def test_nesting_improves_fit(self):
         rng = np.random.default_rng(7)
@@ -181,24 +194,19 @@ class TestFitMbw:
 
     def test_optimizer_start_invariance(self):
         # jittered starting points land on the same optimum
-        from mbweibull.fitting import _nelder_mead, _safe_loglik_mbw
-
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        tr = ParamTransform(["log", "log", "log", "log", "tanh", "logit"])
+        member = _member("m3", data, d_hat, "gfgm", 1.0, 1.0)
+        kinds = list(member.kinds.values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
         )
         rng = np.random.default_rng(7)
         lls = []
         for _ in range(5):
-            z0 = tr.to_unconstrained(theta0) + rng.normal(0, 0.02, 6)
-            res = _nelder_mead(
-                lambda z: -_safe_loglik_mbw(data, tr.from_unconstrained(z), d_hat, "gfgm", 1.0, 1.0),
-                z0,
-                5000,
-            )
-            lls.append(-res.fun)
+            z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
+            res = _fit(data, member, _from_free(kinds, z0), 5000, compute_ses=False)
+            lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
     def test_scale_equivariance(self):
@@ -277,6 +285,13 @@ class TestBootstrap:
     def test_minimum_b(self):
         with pytest.raises(DomainError):
             bootstrap(np.ones((10, 2)), lambda d: {}, B=50, seed=0)
+
+    def test_fitter_bug_propagates(self):
+        def fitter(d):
+            raise TypeError("bug in the fitter")
+
+        with pytest.raises(TypeError):
+            bootstrap(np.ones((10, 2)), fitter, B=100, seed=0)
 
 
 class TestIntervalsAndComparison:

@@ -20,7 +20,7 @@ from mbweibull import (
     rect_survival,
 )
 from mbweibull.errors import DomainError
-from mbweibull.mixture import hazard_grid, hazard_grid_csv
+from mbweibull.mixture import DEFAULT_PARAMS, hazard_grid, hazard_grid_csv, mbw_params, param_dict
 
 
 def _mix(p=0.3, d=0.1, a1=4.0, b1=1.5, a2=3.5, b2=5.0, rho=0.6, x0=0.0, y0=0.0):
@@ -239,3 +239,16 @@ class TestHazardGrid:
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             hazard_grid(_mix(), 1.0, 0.0, 0.0, 1.0, 0.1)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("copula", ["gfgm", "gaussian"])
+    def test_roundtrip(self, copula):
+        flat = dict(DEFAULT_PARAMS, copula=copula)
+        m = mbw_params(**flat)
+        assert param_dict(m) == flat
+        assert mbw_params(**param_dict(m)) == m
+
+    def test_unknown_copula(self):
+        with pytest.raises(DomainError):
+            mbw_params(**dict(DEFAULT_PARAMS, copula="clayton"))

@@ -12,6 +12,7 @@ from mbweibull import (
     coverage_probability,
     run_study,
 )
+from mbweibull import studies
 from mbweibull.errors import DomainError
 
 TRUTH = MbwParams(
@@ -92,6 +93,15 @@ class TestRunStudy:
         assert [line.split(",")[0] for line in lines[1:]] == [
             "alpha1", "beta1", "alpha2", "beta2", "rho", "d", "p",
         ]
+
+    def test_fitter_bug_propagates(self, monkeypatch):
+        def fit_mbw(*args, **kwargs):
+            raise TypeError("bug in the fitter")
+
+        monkeypatch.setattr(studies, "fit_mbw", fit_mbw)
+        cfg = StudyConfig(true_params=TRUTH, sample_sizes=(100,), n_replicates=2)
+        with pytest.raises(TypeError):
+            run_study(cfg)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
