@@ -8,7 +8,7 @@ form) and M2 (FGM-coupled exponential margins).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -65,20 +65,8 @@ class FitResult:
         return aic(self.loglik, self.k)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "estimates": self.estimates,
-            "loglik": self.loglik,
-            "aic": self.aic,
-            "k": self.k,
-            "std_errors": self.std_errors,
-            "p_values": self.p_values,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "n_evals": self.n_evals,
-            "boundary_flags": self.boundary_flags,
-            "diagnostics": self.diagnostics,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
+        return {**out, "aic": self.aic}
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -154,7 +142,7 @@ def _spearman(x, y) -> float:
 
 # Each parameter kind fixes the optimizer's transform to an unconstrained
 # coordinate, its inverse, and the distance from a value to the edge of
-# the parameter space, which caps the Hessian step in compute_se.
+# the parameter space.
 _KINDS = {
     "scale": (np.log, np.exp, lambda t: np.inf),
     "shape": (np.log, np.exp, lambda t: np.inf),
@@ -162,15 +150,18 @@ _KINDS = {
     "logit": (logit, expit, lambda t: min(t, 1.0 - t)),
 }
 
+# A parameter closer than this to the edge of its space is on its boundary:
+# the fit flags it and compute_se holds it fixed. The Hessian step of an
+# unflagged parameter, 1e-4 for |t| <= 1, then never leaves the space.
+_BOUNDARY_GAP = 1e-3
+
 # The nested family M2 within M3, by model name: the free parameters and
-# their kinds, k, and the gap below which the fit flags a tanh or logit
-# parameter as on its boundary. M2 is M3 with shapes fixed at 1, a GFGM
-# copula with a = b = 1 and no uniform component; M3's k counts its
-# plugged-in d.
+# their kinds, and k. M2 is M3 with shapes fixed at 1, a GFGM copula with
+# a = b = 1 and no uniform component; M3's k counts its plugged-in d.
 _MEMBERS = {
-    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "tanh"}, 3, 1e-3),
+    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "tanh"}, 3),
     "m3": ({"alpha1": "shape", "beta1": "scale", "alpha2": "shape", "beta2": "scale",
-            "rho": "tanh", "p": "logit"}, 7, 1e-4),
+            "rho": "tanh", "p": "logit"}, 7),
 }
 
 
@@ -191,7 +182,6 @@ class _Member:
     model: str
     kinds: dict
     k: int
-    flag_tol: float
     loglik: Callable
     fixed: dict
 
@@ -201,9 +191,9 @@ def _member(model, data, d=None, family="gfgm", a=1.0, b=1.0) -> _Member:
     plugged-in d and its copula."""
     if model not in _MEMBERS:
         raise DomainError(f"unknown model {model!r}")
-    kinds, k, flag_tol = _MEMBERS[model]
+    kinds, k = _MEMBERS[model]
     if model == "m2":
-        return _Member(model, kinds, k, flag_tol, lambda theta: _m2_loglik(data, theta), {})
+        return _Member(model, kinds, k, lambda theta: _m2_loglik(data, theta), {})
 
     def loglik(theta):
         a1, b1, a2, b2, rho, p = theta
@@ -215,7 +205,7 @@ def _member(model, data, d=None, family="gfgm", a=1.0, b=1.0) -> _Member:
             return -np.inf
         return ll if np.isfinite(ll) else -np.inf
 
-    return _Member(model, kinds, k, flag_tol, loglik, {"d": d})
+    return _Member(model, kinds, k, loglik, {"d": d})
 
 
 def _start(data, member: _Member, p=None) -> np.ndarray:
@@ -233,7 +223,7 @@ def _start(data, member: _Member, p=None) -> np.ndarray:
     return np.array([guess[nm] for nm in member.kinds])
 
 
-def _fit(data, member: _Member, theta0, max_evals, compute_ses, diagnostics=None, extras=None):
+def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None, extras=None):
     """Maximize the member's log-likelihood by Nelder-Mead in the kinds'
     unconstrained space, starting from ``theta0``."""
     kinds = list(member.kinds.values())
@@ -253,7 +243,7 @@ def _fit(data, member: _Member, theta0, max_evals, compute_ses, diagnostics=None
         neg,
         z0,
         method="Nelder-Mead",
-        options={"maxfev": max_evals, "fatol": 1e-8, "xatol": 1e-6, "initial_simplex": simplex},
+        options={"maxfev": 5000, "fatol": 1e-8, "xatol": 1e-6, "initial_simplex": simplex},
     )
     ll = float(-res.fun)
     result = FitResult(
@@ -267,11 +257,11 @@ def _fit(data, member: _Member, theta0, max_evals, compute_ses, diagnostics=None
         diagnostics=diagnostics or {},
         extras=extras or {},
     )
-    # only tanh and logit map onto a bounded interval the optimizer can run
-    # into; flags are listed by name
-    for nm, kind in sorted(member.kinds.items()):
-        if kind in ("tanh", "logit") and _KINDS[kind][2](result.estimates[nm]) < member.flag_tol:
-            result.boundary_flags.append(nm)
+    # flags are listed by name
+    result.boundary_flags = [
+        nm for nm, kind in sorted(member.kinds.items())
+        if _KINDS[kind][2](result.estimates[nm]) < _BOUNDARY_GAP
+    ]
     if not result.converged:
         result.diagnostics["message"] = str(res.message)
     if compute_ses:
@@ -286,7 +276,6 @@ def fit_mbw(
     b: float = 1.0,
     min_pts: int = 4,
     eps: float | None = None,
-    max_evals: int = 5000,
     compute_ses: bool = True,
 ) -> FitResult:
     """Two-stage fit of the mixture model (model M3).
@@ -316,7 +305,7 @@ def fit_mbw(
         "copula_b": b,
     }
     theta0 = _start(data, member, p0)
-    return _fit(data, member, theta0, max_evals, compute_ses, diagnostics, {"c1_points": c1})
+    return _fit(data, member, theta0, compute_ses, diagnostics, {"c1_points": c1})
 
 
 def _m1_se(result: FitResult, n: int) -> dict:
@@ -359,12 +348,12 @@ def _m2_loglik(data, theta) -> float:
     return float(np.sum(np.log(f)))
 
 
-def fit_m2(data, max_evals: int = 5000, compute_ses: bool = True) -> FitResult:
+def fit_m2(data, compute_ses: bool = True) -> FitResult:
     """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
     uniform component), fitted over (beta1, beta2, rho)."""
     data = _as_data(data)
     member = _member("m2", data)
-    return _fit(data, member, _start(data, member), max_evals, compute_ses)
+    return _fit(data, member, _start(data, member), compute_ses)
 
 
 def _wald_p(est, se) -> float:
@@ -392,8 +381,11 @@ def _num_hessian(fn, x0, steps):
 
 def compute_se(data, result: FitResult) -> dict:
     """Observed-information standard errors from a central-difference
-    Hessian of the log-likelihood at the optimum (d held fixed for the
-    mixture model). Boundary parameters are flagged, not reported.
+    Hessian of the log-likelihood at the optimum, taken over the
+    parameters not in ``result.boundary_flags``. d (for the mixture
+    model) and the flagged parameters are held at their estimates, and a
+    flagged parameter gets NaN for its standard error and p-value: at a
+    boundary the Wald reference does not apply.
 
     Updates ``result.std_errors`` / ``result.p_values`` in place and
     returns the standard-error dict.
@@ -412,30 +404,24 @@ def compute_se(data, result: FitResult) -> dict:
     )
     names = list(member.kinds)
     theta = np.array([result.estimates[k] for k in names])
-    bounds_gap = [_KINDS[kind][2](t) for kind, t in zip(member.kinds.values(), theta)]
-    steps = np.array(
-        [
-            min(1e-4 * max(abs(t), 1.0), g / 4) if np.isfinite(g) else 1e-4 * max(abs(t), 1.0)
-            for t, g in zip(theta, bounds_gap)
-        ]
-    )
-    near_boundary = [nm for nm, g in zip(names, bounds_gap) if g < 1e-3]
-    se = {}
-    H = _num_hessian(member.loglik, theta, steps)
-    info = -H
+    free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
+
+    def loglik(theta_free):
+        t = theta.copy()
+        t[free] = theta_free
+        return member.loglik(t)
+
+    steps = 1e-4 * np.maximum(np.abs(theta[free]), 1.0)
+    se = dict.fromkeys(names, float("nan"))
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(-_num_hessian(loglik, theta[free], steps))
         diag = np.diag(cov)
         if np.any(diag <= 0):
             raise np.linalg.LinAlgError("non-positive variance")
-        for nm, v in zip(names, diag):
-            se[nm] = float(np.sqrt(v))
+        for i, v in zip(free, diag):
+            se[names[i]] = float(np.sqrt(v))
     except np.linalg.LinAlgError:
         result.diagnostics["hessian"] = "not positive definite"
-        se = {nm: float("nan") for nm in names}
-    for nm in near_boundary:
-        if nm not in result.boundary_flags:
-            result.boundary_flags.append(nm)
     result.std_errors = se
     result.p_values = {nm: _wald_p(result.estimates[nm], se[nm]) for nm in names}
     return se
@@ -499,7 +485,17 @@ def d_confidence_interval(c1_points, level: float = 0.95):
 
 
 def deviance_test(full: FitResult, reduced: FitResult) -> dict:
-    """Likelihood-ratio (deviance) comparison of two fitted models."""
+    """Likelihood-ratio (deviance) comparison of two fitted models.
+
+    The p-value refers the statistic to chi-square with the difference in
+    k as degrees of freedom. For M3 against M2 that reference is nominal
+    only: M2 sits at p = 0, on the edge of p's space, where d is not
+    identified, so the regularity conditions behind chi-square(4) fail
+    (Self & Liang 1987, JASA 82:605). On data with axis ties the two
+    likelihoods also cover different rows: M3 leaves out the rows on the
+    axes inside its square while M2 counts every row, so on Vannman the
+    statistic compares a 19-row likelihood with a 36-row one.
+    """
     if reduced.k >= full.k:
         raise DomainError("reduced model must have fewer free parameters")
     statistic = 2.0 * (full.loglik - reduced.loglik)

@@ -4,12 +4,12 @@ and aggregation into per-parameter bias / MSE / coverage summaries."""
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import PACKAGE_ERRORS, DomainError
+from .errors import PACKAGE_ERRORS, ConvergenceError, DomainError
 from .fitting import d_confidence_interval, fit_mbw
 from .mixture import PARAM_NAMES, MbwParams, param_dict
 from .sampler import SeededStream, sample_mbw
@@ -53,7 +53,10 @@ class StudyReport:
     """Aggregated study results for one sample size.
 
     ``rows`` maps parameter name to a dict with keys SampleMean, CP, BSE,
-    BCI_lo, BCI_hi, MSE, Bias.
+    BCI_lo, BCI_hi, MSE, Bias. CP is taken only over the replicates whose
+    interval for that parameter is finite: a replicate whose estimate is
+    flagged on its boundary has no standard error, so it does not count
+    toward that parameter's coverage (NaN when no replicate counts).
     """
 
     sample_size: int
@@ -79,15 +82,7 @@ class StudyReport:
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
         kwargs.setdefault("indent", 2)
-        return json.dumps(
-            {
-                "sample_size": self.sample_size,
-                "n_replicates": self.n_replicates,
-                "n_failures": self.n_failures,
-                "rows": self.rows,
-            },
-            **kwargs,
-        )
+        return json.dumps(asdict(self), **kwargs)
 
 
 def bias_mse(estimates, truth: float):
@@ -145,7 +140,8 @@ def run_study(cfg: StudyConfig):
     """Run the full replicated design and aggregate one report per sample
     size. Deterministic for a fixed base seed, independent of the worker
     count (replicates map to fixed streams and are aggregated in index
-    order)."""
+    order). Raises ConvergenceError when more than a tenth of the
+    replicates at one sample size fail."""
     truth = param_dict(cfg.true_params)
     reports = {}
     for n in cfg.sample_sizes:
@@ -160,7 +156,7 @@ def run_study(cfg: StudyConfig):
         ok = [payload for _, payload in results if payload is not None]
         failures = cfg.n_replicates - len(ok)
         if failures > 0.1 * cfg.n_replicates:
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"{failures}/{cfg.n_replicates} replicates failed at n={n}"
             )
         rows = {}

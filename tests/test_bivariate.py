@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbweibull import (
     BivariateWeibull,
@@ -206,3 +208,26 @@ class TestHazard:
         m = _model(a1=4, b1=0.1, a2=4, b2=0.1, copula=GfgmParams(0.0))
         with pytest.raises(SurvivalUnderflowError):
             bvw_hazard(50.0, 50.0, m)
+
+
+_shape = st.floats(0.3, 20.0)
+_scale = st.floats(0.1, 10.0)
+_exponent = st.floats(1.0, 4.0)
+_ratio = st.floats(1e-4, 3.0)
+
+
+class TestGfgmClosedFormProperty:
+    # a fixed example sequence and no example database keep the suite
+    # deterministic
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        a1=_shape, b1=_scale, a2=_shape, b2=_scale,
+        a=_exponent, b=_exponent, rho=st.floats(-1.0, 1.0), s=_ratio, t=_ratio,
+    )
+    def test_closed_form_equals_composition(self, a1, b1, a2, b2, a, b, rho, s, t):
+        m = _model(a1, b1, a2, b2, GfgmParams(rho, a, b))
+        x, y = s * b1, t * b2
+        for fn in (bvw_pdf, bvw_survival):
+            closed = fn(x, y, m, method="closed")
+            composed = fn(x, y, m, method="compose")
+            assert closed == pytest.approx(composed, rel=1e-8, abs=1e-12)

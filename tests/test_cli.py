@@ -140,6 +140,16 @@ class TestStudy:
         assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
         assert "clayton" in capsys.readouterr().err
 
+    def test_too_many_failed_replicates(self, tmp_path, capsys):
+        # a radius this small leaves DBSCAN no origin cluster in any replicate
+        path = tmp_path / "fail.json"
+        path.write_text(json.dumps(
+            {"sample_sizes": [20], "n_replicates": 3, "eps_by_n": {"20": 1e-9}}
+        ))
+        code = main(["study", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert "error: 3/3 replicates failed at n=20" in capsys.readouterr().err
+
     def test_misspelt_true_param(self, tmp_path, capsys):
         cfg = self._config(tmp_path, true_params={"alpha_1": 2.0})
         assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
@@ -161,6 +171,16 @@ class TestVannman:
         for model, _, a in rows:
             aics[model] = float(a)
         assert aics["m3"] < aics["m2"] < aics["m1"]
+
+    def test_boundary_rho_prints_no_standard_error(self, capsys):
+        # rho-hat = 1 in both M2 and M3: no SE, no p-value, and the flag
+        assert main(["vannman"]) == EXIT_OK
+        rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("rho ")]
+        assert len(rows) == 2
+        for row in rows:
+            _, est, se, pv, flag = row.split()
+            assert float(est) == pytest.approx(1.0)
+            assert (se, pv, flag) == ("nan", "nan", "(boundary)")
 
 
 class TestHazardGrid:

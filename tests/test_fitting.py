@@ -232,7 +232,7 @@ class TestFitMbw:
         lls = []
         for _ in range(5):
             z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
-            res = _fit(data, member, _from_free(kinds, z0), 5000, compute_ses=False)
+            res = _fit(data, member, _from_free(kinds, z0), compute_ses=False)
             lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
@@ -268,6 +268,47 @@ class TestFitMbw:
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
+
+
+def _gfgm_replicate(rho, stream):
+    # a criterion-5 truth with a GFGM copula, sampled at n = 100
+    truth = MbwParams(
+        base=BivariateWeibull(WeibullParams(4.0, 1.5), WeibullParams(3.5, 5.0), GfgmParams(rho)),
+        rect=RectUniform(0.0, 0.0, 0.1),
+        p=0.3,
+    )
+    return sample_mbw(100, truth, SeededStream(1, 100_000_000 + stream))
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("model", ["m2", "m3"])
+    def test_vannman_rho_has_no_standard_error(self, model):
+        data = vannman_data()
+        res = fit_m2(data) if model == "m2" else fit_mbw(data, min_pts=4, eps=1.6)
+        assert res.boundary_flags == ["rho"]
+        assert math.isnan(res.std_errors["rho"])
+        assert math.isnan(res.p_values["rho"])
+        assert set(res.std_errors) == set(res.estimates) - {"d"}
+        for name, se in res.std_errors.items():
+            if name != "rho":
+                assert np.isfinite(se) and se > 0
+
+    def test_boundary_rho_keeps_interior_standard_errors(self):
+        # rho-hat sits 1e-13 from 1; stepping it in the Hessian made the
+        # information matrix indefinite and lost every other SE with it
+        res = fit_mbw(_gfgm_replicate(0.6, 6), eps=0.45)
+        assert res.boundary_flags == ["rho"]
+        assert "hessian" not in res.diagnostics
+        for name in ("alpha1", "beta1", "alpha2", "beta2", "p"):
+            assert np.isfinite(res.std_errors[name]) and res.std_errors[name] > 0
+        assert math.isnan(res.std_errors["rho"])
+
+    def test_flags_do_not_depend_on_standard_errors(self):
+        # rho-hat = 0.99959 lies within the boundary gap of 1
+        data = _gfgm_replicate(0.9, 4)
+        with_se = fit_mbw(data, eps=0.45)
+        without = fit_mbw(data, eps=0.45, compute_ses=False)
+        assert with_se.boundary_flags == without.boundary_flags == ["rho"]
 
 
 class TestBootstrap:
