@@ -10,9 +10,11 @@ timestamp as well).
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -70,7 +72,10 @@ def _add_model_flags(p, names=tuple(DEFAULT_PARAMS)):
 
 def _read_xy_csv(path) -> np.ndarray:
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        with warnings.catch_warnings():
+            # an empty file warns here and fails the size check below
+            warnings.simplefilter("ignore")
+            data = np.genfromtxt(path, delimiter=",", names=True)
     except (ValueError, IndexError) as e:
         raise DomainError(f"could not parse {path}: {e}") from e
     if data.size == 0 or data.dtype.names is None or len(data.dtype.names) < 2:
@@ -85,10 +90,7 @@ def _read_xy_csv(path) -> np.ndarray:
 def cmd_simulate(args) -> int:
     m = mbw_params(**_flags(args))
     pts = sample_mbw(args.n, m, SeededStream(seed=args.seed))
-    with open(args.out, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in pts:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    np.savetxt(args.out, pts, fmt="%.17g", delimiter=",", header="x,y", comments="")
     _write_manifest(
         args.out,
         "simulate",
@@ -144,28 +146,44 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
 
 
+def _decode(raw, table, what) -> dict:
+    """The JSON object ``raw`` with each value converted by ``table[key]``. Raises
+    DomainError on a non-object, an unknown key or a value that does not convert."""
+    if not isinstance(raw, dict):
+        raise DomainError(f"{what} is not a JSON object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise DomainError(f"unknown {what} key(s): {', '.join(unknown)}")
+    out = {}
+    for key, value in raw.items():
+        try:
+            out[key] = table[key](value)
+        except DomainError:
+            raise
+        except (TypeError, ValueError, AttributeError, OverflowError) as e:
+            raise DomainError(f"{what} {key!r}: {e}") from e
+    return out
+
+
+# the study-config keys and their conversions; a key the config leaves out
+# takes its StudyConfig default, or for the model its DEFAULT_PARAMS value
+_STUDY_KEYS = {
+    "true_params": lambda v: _decode(v, dict.fromkeys(PARAM_NAMES, float), "true_params"),
+    "copula": str, "copula_a": float, "copula_b": float,
+    "sample_sizes": lambda v: tuple(map(operator.index, v)),
+    "n_replicates": int, "level": float, "base_seed": int, "min_pts": int,
+    "eps_by_n": lambda v: {int(n): float(eps) for n, eps in v.items()},
+}
+
+
 def cmd_study(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
-    tp = raw.get("true_params", {})
-    unknown = sorted(set(tp) - set(PARAM_NAMES))
-    if unknown:
-        raise DomainError(f"unknown true_params key(s): {', '.join(unknown)}")
-    flat = {**DEFAULT_PARAMS, **tp, **{k: raw[k] for k in _COPULA_FLAGS if k in raw}}
-    params = mbw_params(**flat)
-    eps_by_n = {int(k): float(v) for k, v in raw.get("eps_by_n", {}).items()} or None
+        settings = _decode(json.load(fh), _STUDY_KEYS, "study config")
+    model = {**DEFAULT_PARAMS, **settings.pop("true_params", {})}
+    model.update((k, settings.pop(k)) for k in _COPULA_FLAGS if k in settings)
     cfg = StudyConfig(
-        true_params=params,
-        sample_sizes=tuple(raw.get("sample_sizes", (100, 200, 300))),
-        n_replicates=int(raw.get("n_replicates", 200)),
-        level=float(raw.get("level", 0.95)),
-        base_seed=int(raw.get("base_seed", args.seed)),
-        min_pts=int(raw.get("min_pts", 4)),
-        copula_family=flat["copula"],
-        copula_a=float(flat["copula_a"]),
-        copula_b=float(flat["copula_b"]),
-        workers=int(raw.get("workers", args.workers)),
-        **({"eps_by_n": eps_by_n} if eps_by_n else {}),
+        mbw_params(**model), copula_family=model["copula"], copula_a=model["copula_a"],
+        copula_b=model["copula_b"], workers=args.workers, **settings,
     )
     reports = run_study(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -250,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="run the replicated simulation study")
     p.add_argument("--config", required=True, help="JSON study configuration")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--seed", type=int, default=20260823)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=StudyConfig.workers)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("vannman", help="print the wood data and compare m1/m2/m3")

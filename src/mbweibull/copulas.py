@@ -118,7 +118,11 @@ def _gfgm_conditional_cdf(v, u, c: GfgmParams):
     )
 
 
-def _gfgm_conditional_quantile(t, u, c: GfgmParams, tol=1e-10, max_iter=200):
+_QUANTILE_TOL = 1e-10
+_QUANTILE_MAX_ITER = 200
+
+
+def _gfgm_conditional_quantile(t, u, c: GfgmParams):
     # Safeguarded Newton: start at v = t, derivative is the copula density;
     # any step that leaves the current bracket falls back to bisection,
     # which is sound because C_u is monotone in v.
@@ -128,9 +132,9 @@ def _gfgm_conditional_quantile(t, u, c: GfgmParams, tol=1e-10, max_iter=200):
     v = np.array(t, dtype=float, copy=True)
     lo = np.zeros_like(v)
     hi = np.ones_like(v)
-    for _ in range(max_iter):
+    for _ in range(_QUANTILE_MAX_ITER):
         r = _gfgm_conditional_cdf(v, u, c) - t
-        done = np.abs(r) <= tol
+        done = np.abs(r) <= _QUANTILE_TOL
         if done.all():
             break
         hi = np.where((r > 0) & ~done, v, hi)
@@ -148,10 +152,10 @@ def _gfgm_conditional_quantile(t, u, c: GfgmParams, tol=1e-10, max_iter=200):
         v = np.where(done, v, vn)
     else:
         r = _gfgm_conditional_cdf(v, u, c) - t
-        if np.any(np.abs(r) > tol):
+        if np.any(np.abs(r) > _QUANTILE_TOL):
             raise ConvergenceError(
                 "conditional quantile did not reach tolerance "
-                f"{tol} within {max_iter} iterations"
+                f"{_QUANTILE_TOL} within {_QUANTILE_MAX_ITER} iterations"
             )
     return v
 
@@ -212,7 +216,7 @@ def conditional_cdf(v, u, c: CopulaSpec):
     return _out(ndtr((zv - c.rho * zu) / s), scalar)
 
 
-def conditional_quantile(t, u, c: CopulaSpec, tol=1e-10, max_iter=200):
+def conditional_quantile(t, u, c: CopulaSpec):
     """Quasi-inverse of C_u: the v with C_u(v) = t.
 
     Closed form for the Gaussian family; safeguarded Newton-Raphson with
@@ -222,6 +226,6 @@ def conditional_quantile(t, u, c: CopulaSpec, tol=1e-10, max_iter=200):
     if np.any((t <= 0) | (t >= 1)) or np.any((u <= 0) | (u >= 1)):
         raise DomainError("conditional quantile requires t, u in (0, 1)")
     if isinstance(c, GfgmParams):
-        return _out(_gfgm_conditional_quantile(t, u, c, tol=tol, max_iter=max_iter), scalar)
+        return _out(_gfgm_conditional_quantile(t, u, c), scalar)
     s = np.sqrt(1.0 - c.rho**2)
     return _out(ndtr(c.rho * ndtri(u) + s * ndtri(t)), scalar)

@@ -68,10 +68,8 @@ class FitResult:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
         return {**out, "aic": self.aic}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _as_data(data) -> np.ndarray:
@@ -142,10 +140,9 @@ def _spearman(x, y) -> float:
 
 # Each parameter kind fixes the optimizer's transform to an unconstrained
 # coordinate, its inverse, and the distance from a value to the edge of
-# the parameter space.
+# the parameter space. Shapes and scales are both of kind "scale".
 _KINDS = {
     "scale": (np.log, np.exp, lambda t: np.inf),
-    "shape": (np.log, np.exp, lambda t: np.inf),
     "tanh": (np.arctanh, np.tanh, lambda t: 1.0 - abs(t)),
     "logit": (logit, expit, lambda t: min(t, 1.0 - t)),
 }
@@ -160,7 +157,7 @@ _BOUNDARY_GAP = 1e-3
 # a = b = 1 and no uniform component; M3's k counts its plugged-in d.
 _MEMBERS = {
     "m2": ({"beta1": "scale", "beta2": "scale", "rho": "tanh"}, 3),
-    "m3": ({"alpha1": "shape", "beta1": "scale", "alpha2": "shape", "beta2": "scale",
+    "m3": ({"alpha1": "scale", "beta1": "scale", "alpha2": "scale", "beta2": "scale",
             "rho": "tanh", "p": "logit"}, 7),
 }
 
@@ -232,10 +229,11 @@ def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None, extras=No
         return -member.loglik(_from_free(kinds, z))
 
     z0 = _to_free(kinds, theta0)
-    if "shape" in kinds and not np.isfinite(neg(z0)):
+    shape = np.isin(list(member.kinds), ("alpha1", "alpha2"))
+    if shape.any() and not np.isfinite(neg(z0)):
         # shape start of 1.5 can be rejected only in pathological data;
         # retry from shapes just above 1
-        theta0 = np.where(np.array(kinds) == "shape", 1.05, theta0)
+        theta0 = np.where(shape, 1.05, theta0)
         z0 = _to_free(kinds, theta0)
     # fixed initial simplex: +0.1 along each transformed coordinate
     simplex = np.vstack([z0, z0 + 0.1 * np.eye(len(z0))])

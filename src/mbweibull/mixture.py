@@ -166,7 +166,5 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
 def hazard_grid_csv(grid: np.ndarray) -> str:
     """Serialize a hazard grid to CSV with full double precision."""
     buf = io.StringIO()
-    buf.write("x,y,f,R,h\n")
-    for row in grid:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(buf, grid, fmt="%.17g", delimiter=",", header="x,y,f,R,h", comments="")
     return buf.getvalue()

@@ -1,7 +1,6 @@
 """Monte-Carlo study harness: replicate generation, repeated fitting,
 and aggregation into per-parameter bias / MSE / coverage summaries."""
 
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -48,6 +47,10 @@ class StudyConfig:
             raise DomainError("level must be in (0, 1)")
 
 
+# the columns of a study report, after the parameter name
+_COLUMNS = ("SampleMean", "CP", "BSE", "BCI_lo", "BCI_hi", "MSE", "Bias")
+
+
 @dataclass
 class StudyReport:
     """Aggregated study results for one sample size.
@@ -65,24 +68,12 @@ class StudyReport:
     rows: dict
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("Parameter,SampleMean,CP,BSE,BCI_lo,BCI_hi,MSE,Bias\n")
-        for name in PARAM_NAMES:
-            r = self.rows[name]
-            buf.write(
-                f"{name},"
-                + ",".join(
-                    f"{r[c]:.17g}"
-                    for c in ("SampleMean", "CP", "BSE", "BCI_lo", "BCI_hi", "MSE", "Bias")
-                )
-                + "\n"
-            )
-        return buf.getvalue()
+        lines = [("Parameter", *_COLUMNS)]
+        lines += [(nm, *(f"{self.rows[nm][c]:.17g}" for c in _COLUMNS)) for nm in PARAM_NAMES]
+        return "".join(",".join(line) + "\n" for line in lines)
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(asdict(self), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def bias_mse(estimates, truth: float):
@@ -118,22 +109,15 @@ def _replicate(args):
             eps=eps,
         )
     except PACKAGE_ERRORS:
-        return r, None
+        return None
     if not np.isfinite(fit.loglik):
-        return r, None
+        return None
+    # Wald intervals; a NaN standard error (boundary) gives a NaN interval
     z = ndtri(1 - (1 - cfg.level) / 2)
-    cis = {}
-    for name in PARAM_NAMES:
-        if name == "d":
-            cis[name] = d_confidence_interval(fit.extras["c1_points"], cfg.level)
-        else:
-            se = fit.std_errors.get(name, float("nan"))
-            est = fit.estimates[name]
-            if np.isfinite(se):
-                cis[name] = (est - z * se, est + z * se)
-            else:
-                cis[name] = (float("nan"), float("nan"))
-    return r, (fit.estimates, cis)
+    cis = {nm: (est - z * fit.std_errors[nm], est + z * fit.std_errors[nm])
+           for nm, est in fit.estimates.items() if nm != "d"}
+    cis["d"] = d_confidence_interval(fit.extras["c1_points"], cfg.level)
+    return fit.estimates, cis
 
 
 def run_study(cfg: StudyConfig):
@@ -152,8 +136,7 @@ def run_study(cfg: StudyConfig):
                 results = list(pool.map(_replicate, tasks, chunksize=8))
         else:
             results = [_replicate(t) for t in tasks]
-        results.sort(key=lambda pair: pair[0])
-        ok = [payload for _, payload in results if payload is not None]
+        ok = [payload for payload in results if payload is not None]
         failures = cfg.n_replicates - len(ok)
         if failures > 0.1 * cfg.n_replicates:
             raise ConvergenceError(
@@ -162,9 +145,8 @@ def run_study(cfg: StudyConfig):
         rows = {}
         for name in PARAM_NAMES:
             ests = np.array([est[name] for est, _ in ok])
-            cis = [ci[name] for _, ci in ok]
             bias, mse = bias_mse(ests, truth[name])
-            finite_cis = [c for c in cis if np.isfinite(c[0]) and np.isfinite(c[1])]
+            finite_cis = [ci[name] for _, ci in ok if np.all(np.isfinite(ci[name]))]
             cp = coverage_probability(finite_cis, truth[name]) if finite_cis else float("nan")
             tail = 100 * (1 - cfg.level) / 2
             lo, hi = np.percentile(ests, [tail, 100 - tail])

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from mbweibull import cli
 from mbweibull.cli import EXIT_CONVERGENCE, EXIT_INVALID, EXIT_OK, main
+from mbweibull.mixture import DEFAULT_PARAMS, mbw_params
+from mbweibull.studies import StudyConfig
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +157,63 @@ class TestStudy:
         cfg = self._config(tmp_path, true_params={"alpha_1": 2.0})
         assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
         assert "alpha_1" in capsys.readouterr().err
+
+    @staticmethod
+    def _run_captured(monkeypatch, path, *flags):
+        """Run ``mbw study`` with run_study replaced by a recorder; returns
+        the exit code and the configs that reached run_study."""
+        seen = []
+        monkeypatch.setattr(cli, "run_study", lambda cfg: seen.append(cfg) or {})
+        code = main(["study", "--config", str(path), "--out-dir", str(path.parent), *flags])
+        return code, seen
+
+    @pytest.mark.parametrize("key", ["n_replicate", "workers"])
+    def test_unknown_key_runs_no_replicate(self, tmp_path, monkeypatch, capsys, key):
+        cfg = self._config(tmp_path, **{key: 2})
+        code, seen = self._run_captured(monkeypatch, cfg)
+        assert (code, seen) == (EXIT_INVALID, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"sample_sizes": 100},
+        {"sample_sizes": "300"},
+        {"true_params": {"alpha1": "x"}},
+    ], ids=["not-an-object", "scalar-sizes", "string-sizes", "string-param"])
+    def test_malformed_config(self, tmp_path, monkeypatch, capsys, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, seen = self._run_captured(monkeypatch, path)
+        assert (code, seen) == (EXIT_INVALID, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--config", str(cfg), "--out-dir", str(tmp_path), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_decoded_config(self, tmp_path, monkeypatch, workers):
+        # the criterion-7 config; every setting it leaves out takes the
+        # StudyConfig default, and --workers is the only worker setting
+        code, seen = self._run_captured(monkeypatch, self._config(tmp_path), "--workers", workers)
+        assert code == EXIT_OK
+        assert seen == [StudyConfig(
+            true_params=mbw_params(**DEFAULT_PARAMS),
+            sample_sizes=(100,),
+            n_replicates=4,
+            base_seed=20260823,
+            workers=int(workers),
+        )]
+
+    def test_empty_eps_by_n_presets_no_radius(self, tmp_path, monkeypatch):
+        code, seen = self._run_captured(monkeypatch, self._config(tmp_path, eps_by_n={}))
+        assert code == EXIT_OK
+        assert seen[0].eps_by_n == {}
 
 
 class TestVannman:

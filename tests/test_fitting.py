@@ -25,6 +25,7 @@ from mbweibull import (
     sample_mbw,
     vannman_data,
 )
+from mbweibull import fitting
 from mbweibull.errors import DegenerateDataError, DomainError
 from mbweibull.fitting import _fit, _from_free, _m2_loglik, _member, _to_free
 
@@ -41,7 +42,7 @@ def _mix(a1, b1, a2, b2, rho, d, p):
 
 class TestParamKinds:
     def test_roundtrip(self):
-        kinds = ["shape", "scale", "tanh", "logit"]
+        kinds = ["scale", "scale", "tanh", "logit"]
         theta = np.array([2.5, 0.01, -0.73, 0.9])
         back = _from_free(kinds, _to_free(kinds, theta))
         assert np.allclose(back, theta, rtol=1e-12)
@@ -261,6 +262,27 @@ class TestFitMbw:
     def test_too_small_sample(self):
         with pytest.raises(DomainError):
             fit_mbw(np.random.default_rng(0).random((5, 2)))
+
+    def test_start_retry_from_shapes_near_one(self, monkeypatch):
+        # x = 150 sits ~95 margin means out: at the start's shapes of 1.5 its
+        # density underflows to 0, so the fit restarts from shapes 1.05
+        rng = np.random.default_rng(3)
+        data = np.column_stack([rng.weibull(2.0, 200), rng.weibull(2.0, 200)])
+        data[:30] = rng.uniform(0, 0.05, (30, 2))
+        data[-1, 0] = 150.0
+        calls = []
+
+        def spy(d, m):
+            ll = loglik_mbw(d, m)
+            calls.append((m.base.margin1.shape, m.base.margin2.shape, ll))
+            return ll
+
+        monkeypatch.setattr(fitting, "loglik_mbw", spy)
+        res = fit_mbw(data, eps=0.05)
+        assert calls[0] == pytest.approx((1.5, 1.5, -np.inf))
+        assert calls[1] == pytest.approx((1.05, 1.05, -348.98), abs=0.01)
+        assert res.converged
+        assert res.loglik == pytest.approx(-250.81, abs=0.01)
 
     def test_json_serialization(self):
         res = fit_m1(vannman_data())
