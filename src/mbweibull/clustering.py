@@ -1,10 +1,13 @@
-"""DBSCAN clustering (classic Ester et al. semantics, written out in
-full) plus the k-distance heuristic for picking eps and the helper that
-extracts the cluster nearest the origin."""
+"""DBSCAN clustering (classic Ester et al. semantics, computed as the
+connected components of the core-point graph) plus the k-distance
+heuristic for picking eps and the helper that extracts the cluster
+nearest the origin."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, DomainError, NoClusterError
 
@@ -43,48 +46,34 @@ class ClusterLabels:
         return int(self.labels.max() + 1) if self.labels.size else 0
 
 
-def _neighbor_lists(points: np.ndarray, eps: float):
-    # closed-ball neighborhoods, self-counting; O(n^2) is fine at the
-    # sample sizes this pipeline sees
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= eps * eps
-    return [np.flatnonzero(row) for row in adj]
-
-
 def dbscan(points, p: DbscanParams) -> ClusterLabels:
     """Classic DBSCAN over 2-d points with Euclidean distance.
 
     Core points have >= min_pts neighbors (counting themselves) within
-    eps; clusters are maximal density-connected sets; border points join
-    the first cluster that reaches them; everything else is noise.
+    eps, in the closed ball. Clusters are the connected components of the
+    graph on the core points, numbered by their lowest point index; a
+    non-core point within eps of a core point is a border point and joins
+    the lowest-numbered cluster among its core neighbors; everything else
+    is noise.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise DomainError("points must be an (n, 2) array")
     if not np.all(np.isfinite(points)):
         raise DomainError("points must be finite")
+    # Equal to the classic scan, which expands one whole cluster from each
+    # unlabelled core point in index order (Schubert et al. 2017, ACM TODS
+    # 42:19): connected_components numbers the components by their first
+    # point, as the scan does, and the first cluster whose expansion
+    # reaches a border point is the lowest-numbered one among its core
+    # neighbors.
     n = len(points)
-    if n == 0:
-        return ClusterLabels(np.empty(0, dtype=int))
-    neighbors = _neighbor_lists(points, p.eps)
-    core = np.array([len(nb) >= p.min_pts for nb in neighbors])
-    labels = np.full(n, NOISE, dtype=int)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
-            continue
-        # breadth-first expansion from a fresh core point
-        labels[i] = cluster
-        frontier = list(neighbors[i])
-        while frontier:
-            j = frontier.pop()
-            if labels[j] != NOISE:
-                continue
-            labels[j] = cluster
-            if core[j]:
-                frontier.extend(neighbors[j])
-        cluster += 1
-    return ClusterLabels(labels)
+    adj = cdist(points, points, "sqeuclidean") <= p.eps * p.eps
+    core = adj.sum(axis=1) >= p.min_pts
+    _, comp = connected_components(adj[np.ix_(core, core)], directed=False)
+    # every core neighbor of a core point lies in its own cluster
+    lowest = np.where(adj[:, core], comp, n).min(axis=1, initial=n)
+    return ClusterLabels(np.where(lowest < n, lowest, NOISE).astype(int))
 
 
 def select_eps(points, min_pts: int) -> float:
@@ -95,7 +84,7 @@ def select_eps(points, min_pts: int) -> float:
     n = len(points)
     if n < min_pts:
         raise DomainError("need at least min_pts points")
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    d2 = cdist(points, points, "sqeuclidean")
     kdist = np.sort(np.sqrt(np.sort(d2, axis=1)[:, min_pts - 1]))
     if kdist[-1] == kdist[0]:
         raise DegenerateDataError("all k-distances are identical")

@@ -8,7 +8,7 @@ form) and M2 (FGM-coupled exponential margins).
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,7 @@ from scipy import optimize, stats
 from scipy.special import expit, logit, ndtr
 
 from .bivariate import bvw_pdf
-from .clustering import ClusterLabels, DbscanParams, dbscan, origin_cluster_mask, select_eps
+from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .errors import (
     PACKAGE_ERRORS,
     ConvergenceError,
@@ -42,6 +42,10 @@ __all__ = [
 
 _GAUSS_RHO_CAP = 1.0 - 1e-8
 
+# the smallest sample fit_mbw accepts; studies check their sample sizes
+# against it before any replicate runs
+MIN_OBSERVATIONS = 10
+
 
 @dataclass
 class FitResult:
@@ -58,15 +62,13 @@ class FitResult:
     n_evals: int = 0
     boundary_flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict, repr=False)
 
     @property
     def aic(self) -> float:
         return aic(self.loglik, self.k)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
-        return {**out, "aic": self.aic}
+        return {**asdict(self), "aic": self.aic}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -220,7 +222,7 @@ def _start(data, member: _Member, p=None) -> np.ndarray:
     return np.array([guess[nm] for nm in member.kinds])
 
 
-def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None, extras=None):
+def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None):
     """Maximize the member's log-likelihood by Nelder-Mead in the kinds'
     unconstrained space, starting from ``theta0``."""
     kinds = list(member.kinds.values())
@@ -253,7 +255,6 @@ def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None, extras=No
         iterations=int(res.nit),
         n_evals=int(res.nfev),
         diagnostics=diagnostics or {},
-        extras=extras or {},
     )
     # flags are listed by name
     result.boundary_flags = [
@@ -283,8 +284,8 @@ def fit_mbw(
     transformed space. d counts as an estimated parameter in k.
     """
     data = _as_data(data)
-    if len(data) < 10:
-        raise DomainError("fit_mbw needs at least 10 observations")
+    if len(data) < MIN_OBSERVATIONS:
+        raise DomainError(f"fit_mbw needs at least {MIN_OBSERVATIONS} observations")
     if copula_family not in ("gfgm", "gaussian"):
         raise DomainError(f"unknown copula family {copula_family!r}")
     if eps is None:
@@ -303,21 +304,12 @@ def fit_mbw(
         "copula_b": b,
     }
     theta0 = _start(data, member, p0)
-    return _fit(data, member, theta0, compute_ses, diagnostics, {"c1_points": c1})
-
-
-def _m1_se(result: FitResult, n: int) -> dict:
-    """M1's closed-form standard errors beta / sqrt(n), set on ``result``
-    with their p-values."""
-    est = result.estimates
-    result.std_errors = {k: est[k] / np.sqrt(n) for k in ("beta1", "beta2")}
-    result.p_values = {k: _wald_p(est[k], se) for k, se in result.std_errors.items()}
-    return result.std_errors
+    return _fit(data, member, theta0, compute_ses, diagnostics)
 
 
 def fit_m1(data) -> FitResult:
     """Independent exponential margins; the MLE is the pair of sample
-    means, in closed form."""
+    means and its standard errors are beta / sqrt(n), in closed form."""
     data = _as_data(data)
     x, y = data[:, 0], data[:, 1]
     n = len(data)
@@ -325,11 +317,12 @@ def fit_m1(data) -> FitResult:
     if b1 <= 0 or b2 <= 0:
         raise DegenerateDataError("a margin has zero mean")
     ll = -n * (np.log(b1) + 1.0) - n * (np.log(b2) + 1.0)
-    result = FitResult(
-        model="m1", estimates={"beta1": b1, "beta2": b2}, loglik=float(ll), k=2, converged=True
+    est = {"beta1": b1, "beta2": b2}
+    se = {k: b / np.sqrt(n) for k, b in est.items()}
+    return FitResult(
+        model="m1", estimates=est, loglik=float(ll), k=2, std_errors=se,
+        p_values={k: _wald_p(b, se[k]) for k, b in est.items()},
     )
-    _m1_se(result, n)
-    return result
 
 
 def _m2_loglik(data, theta) -> float:
@@ -378,19 +371,18 @@ def _num_hessian(fn, x0, steps):
 
 
 def compute_se(data, result: FitResult) -> dict:
-    """Observed-information standard errors from a central-difference
-    Hessian of the log-likelihood at the optimum, taken over the
-    parameters not in ``result.boundary_flags``. d (for the mixture
-    model) and the flagged parameters are held at their estimates, and a
-    flagged parameter gets NaN for its standard error and p-value: at a
-    boundary the Wald reference does not apply.
+    """Observed-information standard errors of an M2 or M3 fit from a
+    central-difference Hessian of the log-likelihood at the optimum, taken
+    over the parameters not in ``result.boundary_flags``. d (for the
+    mixture model) and the flagged parameters are held at their estimates,
+    and a flagged parameter gets NaN for its standard error and p-value:
+    at a boundary the Wald reference does not apply. M1's standard errors
+    are closed-form and set by ``fit_m1``.
 
     Updates ``result.std_errors`` / ``result.p_values`` in place and
     returns the standard-error dict.
     """
     data = _as_data(data)
-    if result.model == "m1":
-        return _m1_se(result, len(data))
     get = result.diagnostics.get
     member = _member(
         result.model,
@@ -462,24 +454,22 @@ def bootstrap(data, fitter, B: int, seed: int, level: float = 0.95):
     return {"bse": bse, "bci": bci, "failures": failures, "B": B}
 
 
-def d_confidence_interval(c1_points, level: float = 0.95):
-    """Interval for the rectangle side from the origin-cluster coordinates.
+def d_confidence_interval(d_hat: float, n_c1: int, level: float = 0.95):
+    """Interval for the rectangle side from the origin cluster C1, given
+    its largest coordinate ``d_hat`` and its size ``n_c1 = |C1|``.
 
     Pools the 2|C1| coordinates, which are uniform on [0, d] under the
-    model, and pivots on their maximum M: [M, M * gamma^(-1/(2|C1|))]
-    with gamma = 1 - level.
+    model, and pivots on their maximum d_hat:
+    [d_hat, d_hat * gamma^(-1/(2|C1|))] with gamma = 1 - level.
     """
-    c1_points = np.asarray(c1_points, dtype=float)
-    if c1_points.size == 0:
+    if n_c1 < 1:
         raise DomainError("origin cluster is empty")
     if not 0 < level < 1:
         raise DomainError("level must be in (0, 1)")
-    coords = c1_points.ravel()
-    m = coords.max()
-    if m <= 0:
+    if not d_hat > 0:
         raise DegenerateDataError("all origin-cluster coordinates are zero")
     gamma = 1.0 - level
-    return float(m), float(m * gamma ** (-1.0 / coords.size))
+    return float(d_hat), float(d_hat * gamma ** (-1.0 / (2 * n_c1)))
 
 
 def deviance_test(full: FitResult, reduced: FitResult) -> dict:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import PACKAGE_ERRORS, ConvergenceError, DomainError
-from .fitting import d_confidence_interval, fit_mbw
+from .fitting import MIN_OBSERVATIONS, d_confidence_interval, fit_mbw
 from .mixture import PARAM_NAMES, MbwParams, param_dict
 from .sampler import SeededStream, sample_mbw
 
@@ -45,6 +45,14 @@ class StudyConfig:
             raise DomainError("n_replicates must be >= 1")
         if not 0 < self.level < 1:
             raise DomainError("level must be in (0, 1)")
+        if any(n < MIN_OBSERVATIONS for n in self.sample_sizes):
+            raise DomainError(f"sample sizes must be >= {MIN_OBSERVATIONS}")
+        if self.min_pts < 1:
+            raise DomainError("min_pts must be >= 1")
+        if not all(eps > 0 for eps in self.eps_by_n.values()):
+            raise DomainError("eps_by_n radii must be positive")
+        if self.workers < 1:
+            raise DomainError("workers must be >= 1")
 
 
 # the columns of a study report, after the parameter name
@@ -116,7 +124,7 @@ def _replicate(args):
     z = ndtri(1 - (1 - cfg.level) / 2)
     cis = {nm: (est - z * fit.std_errors[nm], est + z * fit.std_errors[nm])
            for nm, est in fit.estimates.items() if nm != "d"}
-    cis["d"] = d_confidence_interval(fit.extras["c1_points"], cfg.level)
+    cis["d"] = d_confidence_interval(fit.estimates["d"], fit.diagnostics["n_c1"], cfg.level)
     return fit.estimates, cis
 
 

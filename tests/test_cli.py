@@ -210,6 +210,20 @@ class TestStudy:
             workers=int(workers),
         )]
 
+    @pytest.mark.parametrize("over, flags, word", [
+        ({"sample_sizes": [5]}, (), "sample sizes"),
+        ({"min_pts": 0}, (), "min_pts"),
+        ({"eps_by_n": {"100": 0}}, (), "eps_by_n"),
+        ({}, ("--workers", "-3"), "workers"),
+        ({}, ("--workers", "0"), "workers"),
+    ], ids=["size-5", "min-pts-0", "eps-0", "workers-negative", "workers-0"])
+    def test_invalid_setting_runs_no_replicate(self, tmp_path, monkeypatch, capsys, over,
+                                               flags, word):
+        code, seen = self._run_captured(monkeypatch, self._config(tmp_path, **over), *flags)
+        assert (code, seen) == (EXIT_INVALID, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err
+
     def test_empty_eps_by_n_presets_no_radius(self, tmp_path, monkeypatch):
         code, seen = self._run_captured(monkeypatch, self._config(tmp_path, eps_by_n={}))
         assert code == EXIT_OK

@@ -58,6 +58,78 @@ def _check_against_oracle(points, labels, min_pts, eps):
             assert lab[i] in set(lab[core_nb])
 
 
+def _reference_dbscan(points, min_pts, eps):
+    """The classic scan, written out: from each unlabelled core point in
+    index order, a breadth-first expansion labels one whole cluster; a
+    border point keeps the label of the first expansion that reaches it."""
+    n = len(points)
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    neighbors = [np.flatnonzero(row) for row in d2 <= eps * eps]
+    core = np.array([len(nb) >= min_pts for nb in neighbors], dtype=bool)
+    labels = np.full(n, -1, dtype=int)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        frontier = list(neighbors[i])
+        while frontier:
+            j = frontier.pop()
+            if labels[j] != -1:
+                continue
+            labels[j] = cluster
+            if core[j]:
+                frontier.extend(neighbors[j])
+        cluster += 1
+    return labels, core, neighbors
+
+
+class TestDbscanLabels:
+    """Labels equal the classic scan's one for one: the cluster numbers
+    (by first core point) and the border rule (first cluster to reach the
+    point), which origin_cluster_mask's tie-break depends on."""
+
+    def _instances(self):
+        rng = np.random.default_rng(7)
+        yield np.empty((0, 2)), 1, 0.5
+        yield np.zeros((1, 2)), 1, 0.5
+        yield np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]]), 2, 1.0  # all noise
+        for trial in range(600):
+            n = int(rng.integers(0, 60))
+            min_pts = int(rng.integers(1, 7))
+            if trial % 2:
+                # integer grid: duplicates, and distances exactly at eps
+                pts = rng.integers(0, 6, (n, 2)).astype(float)
+                eps = float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
+            else:
+                pts = rng.uniform(0, 4, (n, 2))
+                eps = float(rng.uniform(0.2, 1.5))
+            yield pts, min_pts, eps
+
+    def test_matches_reference_scan(self):
+        contested = 0
+        for pts, min_pts, eps in self._instances():
+            expected, core, neighbors = _reference_dbscan(pts, min_pts, eps)
+            labels = dbscan(pts, DbscanParams(min_pts=min_pts, eps=eps)).labels
+            assert labels.dtype == expected.dtype
+            np.testing.assert_array_equal(labels, expected)
+            contested += sum(
+                len(set(expected[nb[core[nb]]])) > 1
+                for i, nb in enumerate(neighbors) if not core[i]
+            )
+        # border points within reach of two clusters exercise the border rule
+        assert contested >= 20
+
+    def test_border_point_joins_lowest_cluster(self):
+        # m sits at distance eps from a core point of each cluster; the
+        # b-cluster comes first in index order, so it is cluster 0
+        a = [[0.0, 0.0], [-0.5, 0.0], [-0.5, 0.5], [-0.5, -0.5]]
+        b = [[2.0, 0.0], [2.5, 0.0], [2.5, 0.5], [2.5, -0.5]]
+        pts = np.array([[1.0, 0.0], *b, *a])
+        labels = dbscan(pts, DbscanParams(min_pts=4, eps=1.0)).labels
+        np.testing.assert_array_equal(labels, [0, 0, 0, 0, 0, 1, 1, 1, 1])
+
+
 class TestDbscan:
     def test_two_separated_groups(self):
         rng = np.random.default_rng(0)

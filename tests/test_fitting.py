@@ -386,20 +386,21 @@ class TestBootstrap:
 
 class TestIntervalsAndComparison:
     def test_d_interval_pivot(self):
-        lo, hi = d_confidence_interval(np.array([[0.05, 0.1], [0.02, 0.08]]), 0.95)
+        # C1 = {(0.05, 0.1), (0.02, 0.08)}: largest coordinate 0.1, |C1| = 2
+        lo, hi = d_confidence_interval(0.1, 2, 0.95)
         assert lo == 0.1
         assert hi == pytest.approx(0.1 * 0.05 ** (-1 / 4), rel=1e-12)
         assert hi == pytest.approx(0.2115, abs=5e-5)
 
     def test_d_interval_widens_with_level(self):
         pts = np.random.default_rng(0).uniform(0, 1, (20, 2))
-        _, hi90 = d_confidence_interval(pts, 0.90)
-        _, hi99 = d_confidence_interval(pts, 0.99)
+        _, hi90 = d_confidence_interval(pts.max(), len(pts), 0.90)
+        _, hi99 = d_confidence_interval(pts.max(), len(pts), 0.99)
         assert hi99 > hi90
 
     def test_d_interval_contains_max(self):
         pts = np.random.default_rng(1).uniform(0, 0.5, (15, 2))
-        lo, hi = d_confidence_interval(pts, 0.95)
+        lo, hi = d_confidence_interval(pts.max(), len(pts), 0.95)
         assert lo == pts.max()
         assert hi > lo
 

@@ -10,6 +10,7 @@ from mbweibull import (
     WeibullParams,
     bias_mse,
     coverage_probability,
+    fit_mbw,
     run_study,
 )
 from mbweibull import studies
@@ -108,3 +109,23 @@ class TestRunStudy:
             StudyConfig(true_params=TRUTH, n_replicates=0)
         with pytest.raises(DomainError):
             StudyConfig(true_params=TRUTH, level=1.5)
+
+    @pytest.mark.parametrize("setting", [
+        {"sample_sizes": (100, 9)},
+        {"min_pts": 0},
+        {"eps_by_n": {100: 0.0}},
+        {"eps_by_n": {100: -0.45}},
+        {"eps_by_n": {100: float("nan")}},
+        {"workers": 0},
+        {"workers": -3},
+    ], ids=["size-9", "min-pts-0", "eps-0", "eps-negative", "eps-nan", "workers-0",
+            "workers-negative"])
+    def test_config_rejects_settings_no_replicate_survives(self, setting):
+        with pytest.raises(DomainError):
+            StudyConfig(true_params=TRUTH, **setting)
+
+    def test_smallest_sample_size_is_fit_mbws(self):
+        # the study accepts the smallest sample fit_mbw accepts, and no smaller
+        StudyConfig(true_params=TRUTH, sample_sizes=(10,), min_pts=1, workers=1)
+        with pytest.raises(DomainError, match="at least 10 observations"):
+            fit_mbw(np.ones((9, 2)))
