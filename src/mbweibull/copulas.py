@@ -36,7 +36,7 @@ class GfgmParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+        if not (self.a >= 1 and self.b >= 1):
             raise DomainError("GFGM requires a >= 1 and b >= 1")
         if not -1 <= self.rho <= 1:
             raise DomainError("GFGM requires -1 <= rho <= 1")

@@ -1,22 +1,25 @@
 """Likelihood evaluation and estimation.
 
-The full mixture model is fitted in two stages: the rectangle side d is
-plugged in from the origin cluster found by DBSCAN, then the remaining
+The full mixture model (M3) is fitted in two stages: the rectangle side d
+is plugged in from the origin cluster found by DBSCAN, then the remaining
 parameters are maximized by Nelder-Mead in an unconstrained transformed
 space. Comparison models: M1 (independent exponential margins, closed
-form) and M2 (FGM-coupled exponential margins).
+form) and M2 (FGM-coupled exponential margins). M2 is M3 with fixed
+values: shapes 1, a GFGM(rho, 1, 1) copula and no uniform component. Its
+likelihood is the GFGM closed form that M3's bulk density uses, and it is
+fitted by the same stage-2 code.
 """
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import optimize, stats
 from scipy.special import expit, logit, ndtr
 
-from .bivariate import bvw_pdf
+from .bivariate import BivariateWeibull, _gfgm_pdf, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
+from .copulas import GfgmParams
 from .errors import (
     PACKAGE_ERRORS,
     ConvergenceError,
@@ -25,6 +28,7 @@ from .errors import (
     SingularityError,
 )
 from .mixture import MbwParams, mbw_params
+from .univariate import WeibullParams
 
 __all__ = [
     "FitResult",
@@ -78,6 +82,9 @@ def _as_data(data) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or len(data) == 0:
         raise DomainError("data must be a nonempty (n, 2) array")
+    # min() >= 0 is False for a NaN as well as for a negative value
+    if not (data.min() >= 0 and data.max() < np.inf):
+        raise DomainError("lifetimes must be finite and nonnegative")
     return data
 
 
@@ -172,42 +179,42 @@ def _from_free(kinds, z) -> np.ndarray:
     return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
 
 
-@dataclass(frozen=True)
-class _Member:
-    """One member of the nested family on one dataset, with its
-    log-likelihood over the free parameters in ``kinds`` order and the
-    plugged-in parameters reported beside the estimates."""
-
-    model: str
-    kinds: dict
-    k: int
-    loglik: Callable
-    fixed: dict
-
-
-def _member(model, data, d=None, family="gfgm", a=1.0, b=1.0) -> _Member:
-    """Member ``model`` of the family on ``data``; M3 also takes its
-    plugged-in d and its copula."""
-    if model not in _MEMBERS:
-        raise DomainError(f"unknown model {model!r}")
-    kinds, k = _MEMBERS[model]
+def _objective(model, data, d=None, family="gfgm", a=1.0, b=1.0):
+    """The log-likelihood of member ``model`` on ``data`` over its free
+    parameters in ``_MEMBERS`` order; M3 also takes its plugged-in d and its
+    copula. A bad setting (model, family, GFGM exponent, d) raises
+    DomainError here, once; the function returned maps to -inf only the
+    free values at which the model is undefined or has no density.
+    """
     if model == "m2":
-        return _Member(model, kinds, k, lambda theta: _m2_loglik(data, theta), {})
+        x, y = data[:, 0], data[:, 1]
+
+        def value(b1, b2, rho):
+            bulk = BivariateWeibull(WeibullParams(1.0, b1), WeibullParams(1.0, b2), GfgmParams(rho))
+            f = _gfgm_pdf(x, y, bulk)
+            return np.sum(np.log(f)) if np.all(f > 0) else -np.inf
+    elif model == "m3":
+        # the settings are valid when they make a model with some free values
+        mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b)
+
+        def value(a1, b1, a2, b2, rho, p):
+            if family == "gaussian":
+                rho = np.clip(rho, -_GAUSS_RHO_CAP, _GAUSS_RHO_CAP)
+            return loglik_mbw(data, mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b))
+    else:
+        raise DomainError(f"unknown model {model!r}")
 
     def loglik(theta):
-        a1, b1, a2, b2, rho, p = theta
-        if family == "gaussian":
-            rho = np.clip(rho, -_GAUSS_RHO_CAP, _GAUSS_RHO_CAP)
         try:
-            ll = loglik_mbw(data, mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b))
+            ll = value(*theta)
         except (SingularityError, DomainError, FloatingPointError):
             return -np.inf
-        return ll if np.isfinite(ll) else -np.inf
+        return float(ll) if np.isfinite(ll) else -np.inf
 
-    return _Member(model, kinds, k, loglik, {"d": d})
+    return loglik
 
 
-def _start(data, member: _Member, p=None) -> np.ndarray:
+def _start(data, model, p=None) -> np.ndarray:
     """Optimizer start: shapes 1.5, scales at the margin means, rho at the
     Spearman rank correlation, and p as given."""
     x, y = data[:, 0], data[:, 1]
@@ -219,19 +226,22 @@ def _start(data, member: _Member, p=None) -> np.ndarray:
         "rho": float(np.clip(_spearman(x, y), -0.95, 0.95)),
         "p": p,
     }
-    return np.array([guess[nm] for nm in member.kinds])
+    return np.array([guess[nm] for nm in _MEMBERS[model][0]])
 
 
-def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None):
-    """Maximize the member's log-likelihood by Nelder-Mead in the kinds'
-    unconstrained space, starting from ``theta0``."""
-    kinds = list(member.kinds.values())
+def _fit(data, model, loglik, theta0, compute_ses, diagnostics=None, **fixed):
+    """Maximize the log-likelihood ``loglik`` of member ``model`` by
+    Nelder-Mead in the kinds' unconstrained space, starting from
+    ``theta0``. ``fixed`` holds the plugged-in parameters reported beside
+    the estimates."""
+    params, k = _MEMBERS[model]
+    kinds = list(params.values())
 
     def neg(z):
-        return -member.loglik(_from_free(kinds, z))
+        return -loglik(_from_free(kinds, z))
 
     z0 = _to_free(kinds, theta0)
-    shape = np.isin(list(member.kinds), ("alpha1", "alpha2"))
+    shape = np.isin(list(params), ("alpha1", "alpha2"))
     if shape.any() and not np.isfinite(neg(z0)):
         # shape start of 1.5 can be rejected only in pathological data;
         # retry from shapes just above 1
@@ -247,10 +257,10 @@ def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None):
     )
     ll = float(-res.fun)
     result = FitResult(
-        model=member.model,
-        estimates={**dict(zip(member.kinds, _from_free(kinds, res.x).tolist())), **member.fixed},
+        model=model,
+        estimates={**dict(zip(params, _from_free(kinds, res.x).tolist())), **fixed},
         loglik=ll,
-        k=member.k,
+        k=k,
         converged=bool(res.success and np.isfinite(ll)),
         iterations=int(res.nit),
         n_evals=int(res.nfev),
@@ -258,7 +268,7 @@ def _fit(data, member: _Member, theta0, compute_ses, diagnostics=None):
     )
     # flags are listed by name
     result.boundary_flags = [
-        nm for nm, kind in sorted(member.kinds.items())
+        nm for nm, kind in sorted(params.items())
         if _KINDS[kind][2](result.estimates[nm]) < _BOUNDARY_GAP
     ]
     if not result.converged:
@@ -286,13 +296,11 @@ def fit_mbw(
     data = _as_data(data)
     if len(data) < MIN_OBSERVATIONS:
         raise DomainError(f"fit_mbw needs at least {MIN_OBSERVATIONS} observations")
-    if copula_family not in ("gfgm", "gaussian"):
-        raise DomainError(f"unknown copula family {copula_family!r}")
     if eps is None:
         eps = select_eps(data, min_pts)
     d_hat, c1 = estimate_d(data, DbscanParams(min_pts=min_pts, eps=eps))
 
-    member = _member("m3", data, d_hat, copula_family, a, b)
+    loglik = _objective("m3", data, d_hat, copula_family, a, b)
     p0 = np.clip(len(c1) / len(data), 1e-3, 1 - 1e-3)
     diagnostics = {
         "d_hat": d_hat,
@@ -303,8 +311,7 @@ def fit_mbw(
         "copula_a": a,
         "copula_b": b,
     }
-    theta0 = _start(data, member, p0)
-    return _fit(data, member, theta0, compute_ses, diagnostics)
+    return _fit(data, "m3", loglik, _start(data, "m3", p0), compute_ses, diagnostics, d=d_hat)
 
 
 def fit_m1(data) -> FitResult:
@@ -325,26 +332,11 @@ def fit_m1(data) -> FitResult:
     )
 
 
-def _m2_loglik(data, theta) -> float:
-    b1, b2, rho = theta
-    if b1 <= 0 or b2 <= 0 or not -1 <= rho <= 1:
-        return -np.inf
-    x, y = data[:, 0], data[:, 1]
-    A = x / b1
-    B = y / b2
-    dens = (1 + rho * (2 * np.exp(-A) - 1) * (2 * np.exp(-B) - 1)) / (b1 * b2)
-    f = dens * np.exp(-(A + B))
-    if np.any(f <= 0):
-        return -np.inf
-    return float(np.sum(np.log(f)))
-
-
 def fit_m2(data, compute_ses: bool = True) -> FitResult:
     """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
     uniform component), fitted over (beta1, beta2, rho)."""
     data = _as_data(data)
-    member = _member("m2", data)
-    return _fit(data, member, _start(data, member), compute_ses)
+    return _fit(data, "m2", _objective("m2", data), _start(data, "m2"), compute_ses)
 
 
 def _wald_p(est, se) -> float:
@@ -384,7 +376,7 @@ def compute_se(data, result: FitResult) -> dict:
     """
     data = _as_data(data)
     get = result.diagnostics.get
-    member = _member(
+    loglik = _objective(
         result.model,
         data,
         result.estimates.get("d"),
@@ -392,19 +384,19 @@ def compute_se(data, result: FitResult) -> dict:
         get("copula_a", 1.0),
         get("copula_b", 1.0),
     )
-    names = list(member.kinds)
+    names = list(_MEMBERS[result.model][0])
     theta = np.array([result.estimates[k] for k in names])
     free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
 
-    def loglik(theta_free):
+    def loglik_free(theta_free):
         t = theta.copy()
         t[free] = theta_free
-        return member.loglik(t)
+        return loglik(t)
 
     steps = 1e-4 * np.maximum(np.abs(theta[free]), 1.0)
     se = dict.fromkeys(names, float("nan"))
     try:
-        cov = np.linalg.inv(-_num_hessian(loglik, theta[free], steps))
+        cov = np.linalg.inv(-_num_hessian(loglik_free, theta[free], steps))
         diag = np.diag(cov)
         if np.any(diag <= 0):
             raise np.linalg.LinAlgError("non-positive variance")

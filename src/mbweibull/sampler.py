@@ -39,15 +39,16 @@ def _open_unit(u):
     return np.clip(u, _EPS, 1.0 - _EPS)
 
 
-def sample_bvw(n: int, m: BivariateWeibull, s: SeededStream, rng=None):
+def sample_bvw(n: int, m: BivariateWeibull, s: SeededStream):
     """Draw n pairs from the bivariate Weibull by conditional sampling.
 
     Per pair: u, t ~ U(0,1) independently, v = C_u^{-1}(t), then the pair
     is (F1^{-1}(u), F2^{-1}(v)).
     """
-    rng = s.generator() if rng is None else rng
-    if n == 0:
-        return np.empty((0, 2))
+    return _draw_bvw(n, m, s.generator())
+
+
+def _draw_bvw(n: int, m: BivariateWeibull, rng: np.random.Generator):
     u = _open_unit(rng.random(n))
     t = _open_unit(rng.random(n))
     v = conditional_quantile(t, u, m.copula)
@@ -65,12 +66,10 @@ def sample_mbw(n: int, m: MbwParams, s: SeededStream):
     ``sample_bvw``.
     """
     rng = s.generator()
-    if n == 0:
-        return np.empty((0, 2))
     z = rng.random(n) < m.p
     out = np.empty((n, 2))
     k = int(z.sum())
     r = m.rect
     out[z] = np.array([r.x0, r.y0]) + r.d * rng.random((k, 2))
-    out[~z] = sample_bvw(n - k, m.base, s, rng=rng)
+    out[~z] = _draw_bvw(n - k, m.base, rng)
     return out

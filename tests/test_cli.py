@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mbweibull import cli
+from mbweibull import cli, fitting
 from mbweibull.cli import EXIT_CONVERGENCE, EXIT_INVALID, EXIT_OK, main
 from mbweibull.mixture import DEFAULT_PARAMS, mbw_params
 from mbweibull.studies import StudyConfig
@@ -98,6 +98,28 @@ class TestFit:
         assert payload["estimates"]["beta1"] == pytest.approx(pts[:, 0].mean())
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["input_digest"].startswith("sha256:")
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    def test_negative_lifetime_rejected(self, tmp_path, capsys, model):
+        csv = tmp_path / "pts.csv"
+        pts = np.random.default_rng(0).exponential(1.0, (30, 2))
+        pts[4, 0] = -0.5
+        csv.write_text("x,y\n" + "\n".join(f"{a},{b}" for a, b in pts) + "\n")
+        assert main(["fit", "--data", str(csv), "--model", model]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--copula-a", "0.5"], ["--copula-b", "0.5"], ["--copula-a", "nan"],
+    ], ids=["a-0.5", "b-0.5", "a-nan"])
+    def test_invalid_copula_exponent_runs_no_fit(self, monkeypatch, capsys, flags):
+        calls = []
+        monkeypatch.setattr(fitting, "loglik_mbw", lambda d, m: calls.append(m))
+        assert main(["fit", "--data", "vannman", *flags]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
 
 
 class TestStudy:

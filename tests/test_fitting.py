@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbweibull import (
     BivariateWeibull,
     DbscanParams,
+    GaussianCopulaParams,
     GfgmParams,
     MbwParams,
     RectUniform,
@@ -15,6 +18,7 @@ from mbweibull import (
     aic,
     bootstrap,
     bvw_pdf,
+    compute_se,
     d_confidence_interval,
     deviance_test,
     estimate_d,
@@ -22,12 +26,13 @@ from mbweibull import (
     fit_m2,
     fit_mbw,
     loglik_mbw,
+    mbw_pdf,
     sample_mbw,
     vannman_data,
 )
 from mbweibull import fitting
-from mbweibull.errors import DegenerateDataError, DomainError
-from mbweibull.fitting import _fit, _from_free, _m2_loglik, _member, _to_free
+from mbweibull.errors import DegenerateDataError, DomainError, SingularityError
+from mbweibull.fitting import _fit, _from_free, _objective, _to_free
 
 
 def _mix(a1, b1, a2, b2, rho, d, p):
@@ -38,6 +43,21 @@ def _mix(a1, b1, a2, b2, rho, d, p):
         rect=RectUniform(0.0, 0.0, d),
         p=p,
     )
+
+
+def _m2_loglik(data, theta) -> float:
+    # M2's likelihood written out by hand: FGM-coupled exponential margins
+    b1, b2, rho = theta
+    if b1 <= 0 or b2 <= 0 or not -1 <= rho <= 1:
+        return -np.inf
+    x, y = data[:, 0], data[:, 1]
+    A = x / b1
+    B = y / b2
+    dens = (1 + rho * (2 * np.exp(-A) - 1) * (2 * np.exp(-B) - 1)) / (b1 * b2)
+    f = dens * np.exp(-(A + B))
+    if np.any(f <= 0):
+        return -np.inf
+    return float(np.sum(np.log(f)))
 
 
 class TestParamKinds:
@@ -121,6 +141,52 @@ class TestLoglik:
         with pytest.raises(DomainError):
             loglik_mbw(np.empty((0, 2)), _mix(2, 1, 2, 1, 0.0, 0.5, 0.3))
 
+    # a fixed example sequence and no example database keep the suite
+    # deterministic
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        a1=st.floats(0.3, 20.0), b1=st.floats(0.1, 10.0), a2=st.floats(0.3, 20.0),
+        b2=st.floats(0.1, 10.0), rho=st.floats(-1.0, 1.0), gaussian=st.booleans(),
+        d=st.floats(0.01, 1.0),
+        p=st.one_of(st.sampled_from([1e-12, 1 - 1e-12]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        axis_past=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    def test_equals_log_density_over_kept_rows(self, a1, b1, a2, b2, rho, gaussian, d, p,
+                                               axis_past, seed):
+        # the likelihood is the sum of log mbw_pdf over every row that is not
+        # on the square's anchor edges, or both raise
+        copula = GaussianCopulaParams(0.999 * rho) if gaussian else GfgmParams(rho)
+        m = MbwParams(
+            BivariateWeibull(WeibullParams(a1, b1), WeibullParams(a2, b2), copula),
+            RectUniform(0.0, 0.0, d), p,
+        )
+        rng = np.random.default_rng(seed)
+        ties = [[0, 0], [0, d / 2], [d / 2, 0], [0, d], [d, 0],
+                [d, d / 2], [d / 2, d], [d, d], [d, 2 * d], [2 * d, d]]
+        if axis_past:
+            ties += [[0, 2 * d], [3 * d, 0]]
+        data = np.vstack([
+            rng.uniform(0, d, (6, 2)),
+            np.column_stack([b1 * rng.weibull(a1, 6), b2 * rng.weibull(a2, 6)]),
+            ties,
+        ])
+        x, y = data[:, 0], data[:, 1]
+        kept = data[~(((x == 0) | (y == 0)) & (x <= d) & (y <= d))]
+        try:
+            ll = loglik_mbw(data, m)
+        except SingularityError:
+            with pytest.raises(SingularityError):
+                mbw_pdf(kept[:, 0], kept[:, 1], m)
+            return
+        with np.errstate(divide="ignore"):
+            logs = np.log(mbw_pdf(kept[:, 0], kept[:, 1], m))
+        expect = logs.sum()
+        if np.isfinite(expect):
+            assert ll == pytest.approx(expect, rel=1e-12, abs=1e-12 * np.abs(logs).sum())
+        else:
+            assert ll == expect
+
 
 class TestEstimateD:
     def test_definition(self):
@@ -188,6 +254,24 @@ class TestFitM2:
             expect = np.sum(np.log(bvw_pdf(data[:, 0], data[:, 1], bulk)))
             assert _m2_loglik(data, np.array([b1, b2, rho])) == pytest.approx(expect, rel=1e-12)
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        b1=st.floats(0.05, 20.0), b2=st.floats(0.05, 20.0), rho=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_objective_equals_hand_written_likelihood(self, b1, b2, rho, seed):
+        # M2's objective, on the GFGM closed form, counts every row,
+        # including the rows with a zero on either axis. The densities stay
+        # above the normal range's floor: below it the two products of the
+        # same terms round to different subnormals
+        rng = np.random.default_rng(seed)
+        data = rng.exponential(rng.uniform(0.2, 2.0), (30, 2))
+        data[:3, 0] = 0.0
+        data[2:5, 1] = 0.0
+        theta = np.array([b1, b2, rho])
+        expect = _m2_loglik(data, theta)
+        assert _objective("m2", data)(theta) == pytest.approx(expect, rel=1e-12, abs=1e-10)
+
     def test_nesting_improves_fit(self):
         rng = np.random.default_rng(7)
         wins = 0
@@ -224,8 +308,8 @@ class TestFitMbw:
         # jittered starting points land on the same optimum
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        member = _member("m3", data, d_hat, "gfgm", 1.0, 1.0)
-        kinds = list(member.kinds.values())
+        loglik = _objective("m3", data, d_hat)
+        kinds = list(fitting._MEMBERS["m3"][0].values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
         )
@@ -233,7 +317,7 @@ class TestFitMbw:
         lls = []
         for _ in range(5):
             z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
-            res = _fit(data, member, _from_free(kinds, z0), compute_ses=False)
+            res = _fit(data, "m3", loglik, _from_free(kinds, z0), compute_ses=False, d=d_hat)
             lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
@@ -290,6 +374,46 @@ class TestFitMbw:
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
+
+
+def _vannman_board_21_x(value):
+    # board 21, (1.23, 0.04), lies inside the d = 1.4 square: loglik_mbw
+    # used to drop it silently once its x turned negative
+    data = vannman_data()
+    data[20, 0] = value
+    return data
+
+
+class TestDataBoundary:
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf, -np.inf],
+                             ids=["negative", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        fit_m1,
+        fit_m2,
+        lambda data: fit_mbw(data, min_pts=4, eps=1.6),
+        lambda data: loglik_mbw(data, _mix(2.7, 7.7, 1.0, 3.3, 0.98, 1.4, 0.58)),
+        lambda data: bootstrap(data, lambda d: fit_m1(d).estimates, B=100, seed=0),
+    ], ids=["fit_m1", "fit_m2", "fit_mbw", "loglik_mbw", "bootstrap"])
+    def test_rejects_negative_and_nonfinite_lifetimes(self, call, value):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            call(_vannman_board_21_x(value))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("setting", [
+        {"copula_family": "clayton"}, {"a": 0.5}, {"b": 0.5}, {"a": float("nan")},
+    ], ids=["clayton", "a-0.5", "b-0.5", "a-nan"])
+    def test_bad_setting_raises_before_any_likelihood_call(self, monkeypatch, setting):
+        calls = []
+        monkeypatch.setattr(fitting, "loglik_mbw", lambda d, m: calls.append(m))
+        with pytest.raises(DomainError):
+            fit_mbw(vannman_data(), min_pts=4, eps=1.6, **setting)
+        assert calls == []
+
+    def test_compute_se_rejects_m1(self):
+        data = vannman_data()
+        with pytest.raises(DomainError, match="unknown model 'm1'"):
+            compute_se(data, fit_m1(data))
 
 
 def _gfgm_replicate(rho, stream):
