@@ -11,7 +11,7 @@ from .copulas import (
     copula_cdf,
     copula_density,
 )
-from .errors import DomainError, SingularityError, SurvivalUnderflowError
+from .errors import SingularityError, SurvivalUnderflowError
 from .univariate import (
     WeibullParams, _arrays, _check_nonneg, _out, _scalar, weibull_cdf, weibull_pdf
 )
@@ -68,20 +68,40 @@ def _gfgm_pdf(x, y, m: BivariateWeibull):
     return base * (1 + c.rho * (1 - eA) ** (c.b - 1) * (1 - eB) ** (c.b - 1) * D)
 
 
-def _use_closed(method: str, m: BivariateWeibull) -> bool:
-    gfgm = isinstance(m.copula, GfgmParams)
-    if method == "closed" and not gfgm:
-        raise DomainError("closed-form path requires a GFGM copula")
-    return method == "closed" or (method == "auto" and gfgm)
+def _gfgm_survival(x, y, m: BivariateWeibull):
+    # closed form of 1 - F1 - F2 + C(F1, F2) for a GFGM copula
+    c = m.copula
+    A, B = _exponents(x, y, m)
+    eA = np.exp(-A)
+    eB = np.exp(-B)
+    return np.exp(-(A + B)) * (
+        1 + c.rho * np.exp(-(c.a - 1) * (A + B)) * (1 - eA) ** c.b * (1 - eB) ** c.b
+    )
 
 
-def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
-    """Joint density f1(x) f2(y) c(F1(x), F2(y)).
+# The compositions of the margins with the copula: the path of every copula
+# without a closed form, and for GFGM the test oracle of the closed forms.
+def _composed_pdf(x, y, m: BivariateWeibull):
+    u = weibull_cdf(x, m.margin1)
+    v = weibull_cdf(y, m.margin2)
+    if not isinstance(m.copula, GfgmParams):
+        # the Gaussian copula density blows up only at u,v in {0,1}; clip
+        # marginal probabilities into the open square
+        tiny = np.finfo(float).tiny
+        u = np.clip(u, tiny, 1 - 1e-16)
+        v = np.clip(v, tiny, 1 - 1e-16)
+    return weibull_pdf(x, m.margin1) * weibull_pdf(y, m.margin2) * copula_density(u, v, m.copula)
 
-    ``method`` selects the evaluation path: "closed" uses the GFGM closed
-    form, "compose" the generic marginal-times-copula-density composition,
-    and "auto" picks the closed form whenever the copula is GFGM.
-    """
+
+def _composed_survival(x, y, m: BivariateWeibull):
+    u = weibull_cdf(x, m.margin1)
+    v = weibull_cdf(y, m.margin2)
+    return np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
+
+
+def bvw_pdf(x, y, m: BivariateWeibull):
+    """Joint density f1(x) f2(y) c(F1(x), F2(y)), in closed form for a GFGM
+    copula."""
     scalar, x, y = _arrays(x, y)
     _check_nonneg(x, y)
     if (m.margin1.shape < 1 and np.any(x == 0)) or (
@@ -90,43 +110,17 @@ def bvw_pdf(x, y, m: BivariateWeibull, method: str = "auto"):
         raise SingularityError(
             "joint density is unbounded at a zero coordinate with shape < 1"
         )
-    if _use_closed(method, m):
-        return _out(_gfgm_pdf(x, y, m), scalar)
-    u = weibull_cdf(x, m.margin1)
-    v = weibull_cdf(y, m.margin2)
-    if isinstance(m.copula, GfgmParams):
-        dens = copula_density(u, v, m.copula)
-    else:
-        # the Gaussian copula density blows up only at u,v in {0,1}; clip
-        # marginal probabilities into the open square
-        tiny = np.finfo(float).tiny
-        u = np.clip(u, tiny, 1 - 1e-16)
-        v = np.clip(v, tiny, 1 - 1e-16)
-        dens = copula_density(u, v, m.copula)
-    return _out(weibull_pdf(x, m.margin1) * weibull_pdf(y, m.margin2) * dens, scalar)
+    gfgm = isinstance(m.copula, GfgmParams)
+    return _out((_gfgm_pdf if gfgm else _composed_pdf)(x, y, m), scalar)
 
 
-def bvw_survival(x, y, m: BivariateWeibull, method: str = "auto"):
-    """Joint survival 1 - F1 - F2 + C(F1, F2)."""
+def bvw_survival(x, y, m: BivariateWeibull):
+    """Joint survival 1 - F1 - F2 + C(F1, F2), in closed form for a GFGM
+    copula."""
     scalar, x, y = _arrays(x, y)
     _check_nonneg(x, y)
-    if _use_closed(method, m):
-        c = m.copula
-        A, B = _exponents(x, y, m)
-        eA = np.exp(-A)
-        eB = np.exp(-B)
-        val = np.exp(-(A + B)) * (
-            1
-            + c.rho
-            * np.exp(-(c.a - 1) * (A + B))
-            * (1 - eA) ** c.b
-            * (1 - eB) ** c.b
-        )
-        return _out(val, scalar)
-    u = weibull_cdf(x, m.margin1)
-    v = weibull_cdf(y, m.margin2)
-    val = 1.0 - u - v + copula_cdf(u, v, m.copula)
-    return _out(np.clip(val, 0.0, 1.0), scalar)
+    gfgm = isinstance(m.copula, GfgmParams)
+    return _out((_gfgm_survival if gfgm else _composed_survival)(x, y, m), scalar)
 
 
 def bvw_hazard(x, y, m: BivariateWeibull):

@@ -181,10 +181,7 @@ def cmd_study(args) -> int:
         settings = _decode(json.load(fh), _STUDY_KEYS, "study config")
     model = {**DEFAULT_PARAMS, **settings.pop("true_params", {})}
     model.update((k, settings.pop(k)) for k in _COPULA_FLAGS if k in settings)
-    cfg = StudyConfig(
-        mbw_params(**model), copula_family=model["copula"], copula_a=model["copula_a"],
-        copula_b=model["copula_b"], workers=args.workers, **settings,
-    )
+    cfg = StudyConfig(mbw_params(**model), workers=args.workers, **settings)
     reports = run_study(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     for n, report in sorted(reports.items()):

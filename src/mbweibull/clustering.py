@@ -80,6 +80,8 @@ def select_eps(points, min_pts: int) -> float:
     """Knee of the sorted k-nearest-neighbor distance curve (k = min_pts,
     self-counting), located by maximum perpendicular distance to the chord
     between the curve endpoints."""
+    if min_pts < 1:
+        raise DomainError("min_pts must be >= 1")
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < min_pts:

@@ -7,6 +7,7 @@ used for conditional sampling.
 """
 
 from dataclasses import dataclass
+from math import inf
 from typing import Union
 
 import numpy as np
@@ -36,8 +37,8 @@ class GfgmParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.a >= 1 and self.b >= 1):
-            raise DomainError("GFGM requires a >= 1 and b >= 1")
+        if not (1 <= self.a < inf and 1 <= self.b < inf):
+            raise DomainError("GFGM requires finite a >= 1 and b >= 1")
         if not -1 <= self.rho <= 1:
             raise DomainError("GFGM requires -1 <= rho <= 1")
 

@@ -27,7 +27,8 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .mixture import MbwParams, mbw_params
+from .mixture import MbwParams, _copula, mbw_params
+from .sampler import SeededStream
 from .univariate import WeibullParams
 
 __all__ = [
@@ -179,7 +180,7 @@ def _from_free(kinds, z) -> np.ndarray:
     return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
 
 
-def _objective(model, data, d=None, family="gfgm", a=1.0, b=1.0):
+def _objective(model, data, d=None, family=None, a=None, b=None):
     """The log-likelihood of member ``model`` on ``data`` over its free
     parameters in ``_MEMBERS`` order; M3 also takes its plugged-in d and its
     copula. A bad setting (model, family, GFGM exponent, d) raises
@@ -296,6 +297,8 @@ def fit_mbw(
     data = _as_data(data)
     if len(data) < MIN_OBSERVATIONS:
         raise DomainError(f"fit_mbw needs at least {MIN_OBSERVATIONS} observations")
+    # the copula settings are checked before stage 1, whose failure would hide them
+    _copula(copula_family, 0.0, a, b)
     if eps is None:
         eps = select_eps(data, min_pts)
     d_hat, c1 = estimate_d(data, DbscanParams(min_pts=min_pts, eps=eps))
@@ -380,9 +383,9 @@ def compute_se(data, result: FitResult) -> dict:
         result.model,
         data,
         result.estimates.get("d"),
-        get("copula_family", "gfgm"),
-        get("copula_a", 1.0),
-        get("copula_b", 1.0),
+        get("copula_family"),
+        get("copula_a"),
+        get("copula_b"),
     )
     names = list(_MEMBERS[result.model][0])
     theta = np.array([result.estimates[k] for k in names])
@@ -422,8 +425,7 @@ def bootstrap(data, fitter, B: int, seed: int, level: float = 0.95):
     rows = []
     failures = 0
     for r in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), r]))
-        sample = data[rng.integers(0, n, size=n)]
+        sample = data[SeededStream(seed, r).generator().integers(0, n, size=n)]
         try:
             est = fitter(sample)
         except PACKAGE_ERRORS:

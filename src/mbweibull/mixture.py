@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivariate import BivariateWeibull, bvw_pdf, bvw_survival
-from .copulas import GaussianCopulaParams, GfgmParams
+from .copulas import CopulaSpec, GaussianCopulaParams, GfgmParams
 from .errors import DomainError, SurvivalUnderflowError
 from .univariate import (
     RectUniform, WeibullParams, _arrays, _inside, _out, _scalar, rect_survival
@@ -60,6 +60,16 @@ DEFAULT_PARAMS = {
 }
 
 
+def _copula(family, rho, a, b) -> CopulaSpec:
+    """The copula of ``family`` with parameter ``rho`` and, for GFGM, the
+    exponents ``a``/``b``: the one rule for copula settings."""
+    if family == "gfgm":
+        return GfgmParams(rho=rho, a=a, b=b)
+    if family == "gaussian":
+        return GaussianCopulaParams(rho=rho)
+    raise DomainError(f"unknown copula family {family!r}")
+
+
 def mbw_params(alpha1, beta1, alpha2, beta2, rho, d, p, copula, copula_a, copula_b) -> MbwParams:
     """Build ``MbwParams`` from the flat values named in ``DEFAULT_PARAMS``.
 
@@ -67,12 +77,7 @@ def mbw_params(alpha1, beta1, alpha2, beta2, rho, d, p, copula, copula_a, copula
     the GFGM exponents and are ignored for the Gaussian family. Raises
     DomainError on an unknown copula family.
     """
-    if copula == "gfgm":
-        cop = GfgmParams(rho=rho, a=copula_a, b=copula_b)
-    elif copula == "gaussian":
-        cop = GaussianCopulaParams(rho=rho)
-    else:
-        raise DomainError(f"unknown copula family {copula!r}")
+    cop = _copula(copula, rho, copula_a, copula_b)
     return MbwParams(
         base=BivariateWeibull(WeibullParams(alpha1, beta1), WeibullParams(alpha2, beta2), cop),
         rect=RectUniform(0.0, 0.0, d),

@@ -35,9 +35,8 @@ class StudyConfig:
     base_seed: int = 20260823
     min_pts: int = 4
     eps_by_n: dict = field(default_factory=lambda: dict(DEFAULT_EPS_BY_N))
-    copula_family: str = "gfgm"
-    copula_a: float = 1.0
-    copula_b: float = 1.0
+    # the fitted copula is the truth's; a family given here must name it
+    copula_family: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -53,6 +52,9 @@ class StudyConfig:
             raise DomainError("eps_by_n radii must be positive")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
+        truth = param_dict(self.true_params)["copula"]
+        if self.copula_family not in (None, truth):
+            raise DomainError(f"copula_family {self.copula_family!r} is not the truth's {truth!r}")
 
 
 # the columns of a study report, after the parameter name
@@ -107,12 +109,13 @@ def _replicate(args):
     cfg, n, r, eps = args
     stream = SeededStream(seed=cfg.base_seed, stream=n * 1_000_000 + r)
     data = sample_mbw(n, cfg.true_params, stream)
+    truth = param_dict(cfg.true_params)
     try:
         fit = fit_mbw(
             data,
-            copula_family=cfg.copula_family,
-            a=cfg.copula_a,
-            b=cfg.copula_b,
+            copula_family=truth["copula"],
+            a=truth["copula_a"],
+            b=truth["copula_b"],
             min_pts=cfg.min_pts,
             eps=eps,
         )

@@ -2,6 +2,7 @@
 component (density, survival, hazard)."""
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -27,9 +28,9 @@ class WeibullParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
+        if not (0 < self.shape < inf and 0 < self.scale < inf):
             raise DomainError(
-                f"Weibull shape and scale must be positive, got "
+                f"Weibull shape and scale must be positive and finite, got "
                 f"shape={self.shape}, scale={self.scale}"
             )
 
@@ -43,10 +44,10 @@ class RectUniform:
     d: float
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise DomainError(f"rectangle side d must be positive, got {self.d}")
-        if self.x0 < 0 or self.y0 < 0:
-            raise DomainError("rectangle anchor must be nonnegative")
+        if not 0 < self.d < inf:
+            raise DomainError(f"rectangle side d must be positive and finite, got {self.d}")
+        if not (0 <= self.x0 < inf and 0 <= self.y0 < inf):
+            raise DomainError("rectangle anchor must be nonnegative and finite")
 
 
 def _scalar(*inputs) -> bool:

@@ -17,6 +17,7 @@ from mbweibull import (
     weibull_cdf,
     weibull_pdf,
 )
+from mbweibull.bivariate import _composed_pdf, _composed_survival
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
 
 
@@ -114,8 +115,8 @@ class TestPdf:
         for m in _random_models(rng, 20):
             x = rng.uniform(0.05, 4.0, 50)
             y = rng.uniform(0.05, 4.0, 50)
-            closed = np.asarray(bvw_pdf(x, y, m, method="closed"))
-            composed = np.asarray(bvw_pdf(x, y, m, method="compose"))
+            closed = np.asarray(bvw_pdf(x, y, m))
+            composed = np.asarray(_composed_pdf(x, y, m))
             assert np.allclose(closed, composed, rtol=1e-10, atol=1e-12)
 
     def test_singularity(self):
@@ -171,8 +172,8 @@ class TestSurvival:
         for m in _random_models(rng, 20):
             x = rng.uniform(0.0, 4.0, 50)
             y = rng.uniform(0.0, 4.0, 50)
-            closed = np.asarray(bvw_survival(x, y, m, method="closed"))
-            generic = np.asarray(bvw_survival(x, y, m, method="compose"))
+            closed = np.asarray(bvw_survival(x, y, m))
+            generic = np.asarray(_composed_survival(x, y, m))
             assert np.allclose(closed, generic, atol=1e-12)
 
     def test_nonincreasing(self):
@@ -227,7 +228,7 @@ class TestGfgmClosedFormProperty:
     def test_closed_form_equals_composition(self, a1, b1, a2, b2, a, b, rho, s, t):
         m = _model(a1, b1, a2, b2, GfgmParams(rho, a, b))
         x, y = s * b1, t * b2
-        for fn in (bvw_pdf, bvw_survival):
-            closed = fn(x, y, m, method="closed")
-            composed = fn(x, y, m, method="compose")
+        for fn, composed_fn in ((bvw_pdf, _composed_pdf), (bvw_survival, _composed_survival)):
+            closed = fn(x, y, m)
+            composed = composed_fn(x, y, m)
             assert closed == pytest.approx(composed, rel=1e-8, abs=1e-12)

@@ -57,6 +57,14 @@ class TestSimulate:
         out = tmp_path / "d.csv"
         assert main(["simulate", "--n", "5", "--p", "1.5", "--out", str(out)]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("flag", ["--beta1", "--d"])
+    def test_infinite_param_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "e.csv"
+        assert main(["simulate", "--n", "5", flag, "inf", "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFit:
     def test_m1_on_vannman(self, tmp_path, capsys):
@@ -112,7 +120,8 @@ class TestFit:
 
     @pytest.mark.parametrize("flags", [
         ["--copula-a", "0.5"], ["--copula-b", "0.5"], ["--copula-a", "nan"],
-    ], ids=["a-0.5", "b-0.5", "a-nan"])
+        ["--copula-a", "inf"],
+    ], ids=["a-0.5", "b-0.5", "a-nan", "a-inf"])
     def test_invalid_copula_exponent_runs_no_fit(self, monkeypatch, capsys, flags):
         calls = []
         monkeypatch.setattr(fitting, "loglik_mbw", lambda d, m: calls.append(m))

@@ -228,6 +228,13 @@ class TestSelectEps:
         with pytest.raises(DomainError):
             select_eps(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("min_pts", [0, -1, -3])
+    def test_min_pts_below_one(self, min_pts):
+        # a column index of min_pts - 1 would read from the far end
+        pts = np.random.default_rng(5).uniform(0, 1, (20, 2))
+        with pytest.raises(DomainError, match="min_pts"):
+            select_eps(pts, min_pts)
+
 
 class TestOriginCluster:
     def test_single_cluster(self):

@@ -24,6 +24,15 @@ GFGM_SWEEP = [
 GAUSS_SWEEP = [GaussianCopulaParams(rho) for rho in (-0.9, 0.0, 0.6, 0.9)]
 
 
+class TestGfgmParams:
+    @pytest.mark.parametrize("a, b", [
+        (0.5, 1.0), (1.0, 0.5), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+    ])
+    def test_exponents_finite_and_at_least_one(self, a, b):
+        with pytest.raises(DomainError, match="finite a >= 1 and b >= 1"):
+            GfgmParams(0.5, a, b)
+
+
 class TestCopulaCdf:
     def test_gfgm_hand_value(self):
         # uv + rho (uv)^b ((1-u)(1-v))^a = 0.25 + 0.5 * 0.0625

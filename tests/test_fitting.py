@@ -308,7 +308,7 @@ class TestFitMbw:
         # jittered starting points land on the same optimum
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        loglik = _objective("m3", data, d_hat)
+        loglik = _objective("m3", data, d_hat, "gfgm", 1.0, 1.0)
         kinds = list(fitting._MEMBERS["m3"][0].values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
@@ -408,6 +408,17 @@ class TestSettings:
         monkeypatch.setattr(fitting, "loglik_mbw", lambda d, m: calls.append(m))
         with pytest.raises(DomainError):
             fit_mbw(vannman_data(), min_pts=4, eps=1.6, **setting)
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [1e-9, None], ids=["eps-preset", "eps-auto"])
+    def test_bad_family_raises_before_stage_1(self, monkeypatch, eps):
+        # with eps 1e-9 the origin cluster is degenerate, which would
+        # otherwise be the error reported
+        calls = []
+        monkeypatch.setattr(fitting, "select_eps", lambda *a: calls.append("select_eps"))
+        monkeypatch.setattr(fitting, "dbscan", lambda *a: calls.append("dbscan"))
+        with pytest.raises(DomainError, match="'clayton'"):
+            fit_mbw(vannman_data(), copula_family="clayton", eps=eps)
         assert calls == []
 
     def test_compute_se_rejects_m1(self):

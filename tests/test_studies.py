@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mbweibull import (
     BivariateWeibull,
+    GaussianCopulaParams,
     GfgmParams,
     MbwParams,
     RectUniform,
@@ -23,6 +26,10 @@ TRUTH = MbwParams(
     rect=RectUniform(0.0, 0.0, 0.1),
     p=0.3,
 )
+
+
+def _with_copula(copula):
+    return replace(TRUTH, base=replace(TRUTH.base, copula=copula))
 
 
 class TestBiasMse:
@@ -129,3 +136,35 @@ class TestRunStudy:
         StudyConfig(true_params=TRUTH, sample_sizes=(10,), min_pts=1, workers=1)
         with pytest.raises(DomainError, match="at least 10 observations"):
             fit_mbw(np.ones((9, 2)))
+
+
+class TestFittedCopula:
+    @staticmethod
+    def _fitted(monkeypatch, truth):
+        # the copula settings of every fit the study runs
+        seen = []
+
+        def spy(data, **kwargs):
+            seen.append((kwargs["copula_family"], kwargs["a"], kwargs["b"]))
+            return fit_mbw(data, **kwargs)
+
+        monkeypatch.setattr(studies, "fit_mbw", spy)
+        run_study(StudyConfig(true_params=truth, sample_sizes=(100,), n_replicates=2))
+        return seen
+
+    def test_gaussian_truth_fits_gaussian(self, monkeypatch):
+        seen = self._fitted(monkeypatch, _with_copula(GaussianCopulaParams(0.6)))
+        assert [family for family, _, _ in seen] == ["gaussian"] * 2
+
+    def test_gfgm_truth_fits_its_exponents(self, monkeypatch):
+        seen = self._fitted(monkeypatch, _with_copula(GfgmParams(0.6, a=2.0, b=3.0)))
+        assert seen == [("gfgm", 2.0, 3.0)] * 2
+
+    def test_family_other_than_truths_rejected(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(studies, "sample_mbw", lambda *a: runs.append(a))
+        with pytest.raises(DomainError, match="'gfgm' is not the truth's 'gaussian'"):
+            run_study(StudyConfig(
+                true_params=_with_copula(GaussianCopulaParams(0.6)), copula_family="gfgm",
+            ))
+        assert runs == []

@@ -52,6 +52,13 @@ class TestWeibullCdf:
         with pytest.raises(DomainError):
             WeibullParams(1.0, -2.0)
 
+    @pytest.mark.parametrize("shape, scale", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_nonfinite_params_rejected(self, shape, scale):
+        with pytest.raises(DomainError, match="finite"):
+            WeibullParams(shape, scale)
+
 
 class TestWeibullPdf:
     def test_exponential_at_zero(self):
@@ -154,3 +161,11 @@ class TestRectUniform:
             RectUniform(0, 0, 0.0)
         with pytest.raises(DomainError):
             RectUniform(-1, 0, 1.0)
+
+    @pytest.mark.parametrize("x0, y0, d", [
+        (0.0, 0.0, math.inf), (0.0, 0.0, math.nan), (math.inf, 0.0, 1.0),
+        (0.0, math.inf, 1.0), (math.nan, 0.0, 1.0),
+    ])
+    def test_nonfinite_rect_rejected(self, x0, y0, d):
+        with pytest.raises(DomainError, match="finite"):
+            RectUniform(x0, y0, d)
