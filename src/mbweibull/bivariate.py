@@ -13,7 +13,7 @@ from .copulas import (
 )
 from .errors import SingularityError, SurvivalUnderflowError
 from .univariate import (
-    WeibullParams, _arrays, _check_nonneg, _out, _scalar, weibull_cdf, weibull_pdf
+    WeibullParams, _arrays, _check_nonneg, _out, weibull_cdf, weibull_pdf
 )
 
 __all__ = ["BivariateWeibull", "bvw_cdf", "bvw_pdf", "bvw_survival", "bvw_hazard"]
@@ -37,12 +37,9 @@ def _exponents(x, y, m: BivariateWeibull):
 
 def bvw_cdf(x, y, m: BivariateWeibull):
     """Joint CDF C(F1(x), F2(y))."""
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     _check_nonneg(x, y)
-    return _out(
-        copula_cdf(weibull_cdf(x, m.margin1), weibull_cdf(y, m.margin2), m.copula),
-        scalar,
-    )
+    return copula_cdf(weibull_cdf(x, m.margin1), weibull_cdf(y, m.margin2), m.copula)
 
 
 def _gfgm_pdf(x, y, m: BivariateWeibull):
@@ -102,7 +99,7 @@ def _composed_survival(x, y, m: BivariateWeibull):
 def bvw_pdf(x, y, m: BivariateWeibull):
     """Joint density f1(x) f2(y) c(F1(x), F2(y)), in closed form for a GFGM
     copula."""
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     _check_nonneg(x, y)
     if (m.margin1.shape < 1 and np.any(x == 0)) or (
         m.margin2.shape < 1 and np.any(y == 0)
@@ -111,16 +108,16 @@ def bvw_pdf(x, y, m: BivariateWeibull):
             "joint density is unbounded at a zero coordinate with shape < 1"
         )
     gfgm = isinstance(m.copula, GfgmParams)
-    return _out((_gfgm_pdf if gfgm else _composed_pdf)(x, y, m), scalar)
+    return _out((_gfgm_pdf if gfgm else _composed_pdf)(x, y, m))
 
 
 def bvw_survival(x, y, m: BivariateWeibull):
     """Joint survival 1 - F1 - F2 + C(F1, F2), in closed form for a GFGM
     copula."""
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     _check_nonneg(x, y)
     gfgm = isinstance(m.copula, GfgmParams)
-    return _out((_gfgm_survival if gfgm else _composed_survival)(x, y, m), scalar)
+    return _out((_gfgm_survival if gfgm else _composed_survival)(x, y, m))
 
 
 def bvw_hazard(x, y, m: BivariateWeibull):
@@ -129,9 +126,8 @@ def bvw_hazard(x, y, m: BivariateWeibull):
     Raises SurvivalUnderflowError where the survival function underflows
     to zero rather than silently returning infinity.
     """
-    scalar = _scalar(x, y)
     f = bvw_pdf(x, y, m)
     R = bvw_survival(x, y, m)
-    if np.any(np.asarray(R) <= 0):
+    if np.any(R <= 0):
         raise SurvivalUnderflowError("survival underflowed to zero")
-    return _out(np.asarray(f) / np.asarray(R), scalar)
+    return f / R

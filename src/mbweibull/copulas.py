@@ -71,11 +71,11 @@ def std_bivariate_normal_cdf(z1, z2, rho):
     Uses Owen's T function, which is deterministic and accurate to well
     below 1e-10 over the whole plane.
     """
-    scalar, z1, z2 = _arrays(z1, z2)
+    z1, z2 = _arrays(z1, z2)
     if not -1 < rho < 1:
         raise DomainError("requires |rho| < 1")
     if rho == 0.0:
-        return _out(ndtr(z1) * ndtr(z2), scalar)
+        return _out(ndtr(z1) * ndtr(z2))
 
     z1, z2 = np.broadcast_arrays(z1, z2)
     s = np.sqrt(1.0 - rho * rho)
@@ -91,7 +91,7 @@ def std_bivariate_normal_cdf(z1, z2, rho):
     both_zero = (z1 == 0) & (z2 == 0)
     if np.any(both_zero):
         val = np.where(both_zero, 0.25 + np.arcsin(rho) / (2 * np.pi), val)
-    return _out(np.clip(val, 0.0, 1.0), scalar)
+    return _out(np.clip(val, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +166,11 @@ def _gfgm_conditional_quantile(t, u, c: GfgmParams):
 
 def copula_cdf(u, v, c: CopulaSpec):
     """Copula CDF C(u, v) for either family."""
-    scalar, u, v = _arrays(u, v)
+    u, v = _arrays(u, v)
     _check_unit_square(u, v)
     if isinstance(c, GfgmParams):
-        return _out(_gfgm_cdf(u, v, c), scalar)
-    u, v = np.atleast_1d(*np.broadcast_arrays(u, v))
+        return _out(_gfgm_cdf(u, v, c))
+    u, v = np.broadcast_arrays(u, v)
     # closed edges of the unit square resolve exactly
     with np.errstate(divide="ignore"):
         z1 = ndtri(u)
@@ -182,15 +182,15 @@ def copula_cdf(u, v, c: CopulaSpec):
     val = np.where((u == 0) | (v == 0), 0.0, val)
     val = np.where(u == 1, v, val)
     val = np.where(v == 1, np.where(u == 1, 1.0, u), val)
-    return _out(val, scalar)
+    return _out(val)
 
 
 def copula_density(u, v, c: CopulaSpec):
     """Copula density c(u, v)."""
-    scalar, u, v = _arrays(u, v)
+    u, v = _arrays(u, v)
     if isinstance(c, GfgmParams):
         _check_unit_square(u, v)
-        return _out(_gfgm_density(u, v, c), scalar)
+        return _out(_gfgm_density(u, v, c))
     if np.any((u <= 0) | (u >= 1) | (v <= 0) | (v >= 1)):
         raise DomainError("Gaussian copula density requires (u,v) in (0,1)^2")
     z1 = ndtri(u)
@@ -198,23 +198,23 @@ def copula_density(u, v, c: CopulaSpec):
     rho = c.rho
     one_m = 1.0 - rho * rho
     expo = -(rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2) / (2 * one_m)
-    return _out(np.exp(expo) / np.sqrt(one_m), scalar)
+    return _out(np.exp(expo) / np.sqrt(one_m))
 
 
 def conditional_cdf(v, u, c: CopulaSpec):
     """Conditional distribution C_u(v) = P(V <= v | U = u) = dC/du."""
-    scalar, u, v = _arrays(u, v)
+    u, v = _arrays(u, v)
     if np.any((u <= 0) | (u >= 1)):
         raise DomainError("conditioning value u must lie in (0, 1)")
     if np.any((v < 0) | (v > 1)):
         raise DomainError("v must lie in [0, 1]")
     if isinstance(c, GfgmParams):
-        return _out(_gfgm_conditional_cdf(v, u, c), scalar)
+        return _out(_gfgm_conditional_cdf(v, u, c))
     with np.errstate(divide="ignore"):
         zv = ndtri(v)
     zu = ndtri(u)
     s = np.sqrt(1.0 - c.rho**2)
-    return _out(ndtr((zv - c.rho * zu) / s), scalar)
+    return _out(ndtr((zv - c.rho * zu) / s))
 
 
 def conditional_quantile(t, u, c: CopulaSpec):
@@ -223,10 +223,10 @@ def conditional_quantile(t, u, c: CopulaSpec):
     Closed form for the Gaussian family; safeguarded Newton-Raphson with
     bisection fallback for GFGM.
     """
-    scalar, t, u = _arrays(t, u)
+    t, u = _arrays(t, u)
     if np.any((t <= 0) | (t >= 1)) or np.any((u <= 0) | (u >= 1)):
         raise DomainError("conditional quantile requires t, u in (0, 1)")
     if isinstance(c, GfgmParams):
-        return _out(_gfgm_conditional_quantile(t, u, c), scalar)
+        return _out(_gfgm_conditional_quantile(t, u, c))
     s = np.sqrt(1.0 - c.rho**2)
-    return _out(ndtr(c.rho * ndtri(u) + s * ndtri(t)), scalar)
+    return _out(ndtr(c.rho * ndtri(u) + s * ndtri(t)))

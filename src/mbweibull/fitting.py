@@ -14,8 +14,8 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import expit, logit, ndtr
+from scipy import optimize
+from scipy.special import chdtrc, expit, logit, ndtr
 
 from .bivariate import BivariateWeibull, _gfgm_pdf, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
@@ -44,8 +44,6 @@ __all__ = [
     "aic",
     "deviance_test",
 ]
-
-_GAUSS_RHO_CAP = 1.0 - 1e-8
 
 # the smallest sample fit_mbw accepts; studies check their sample sizes
 # against it before any replicate runs
@@ -109,7 +107,7 @@ def loglik_mbw(data, m: MbwParams) -> float:
     # axis row cannot trip the singularity check of a shape below 1
     past = (x > r.x0 + r.d) | (y > r.y0 + r.d)
     keep = past | ((x > r.x0) & (y > r.y0))
-    f2 = np.asarray(bvw_pdf(x[keep], y[keep], m.base))
+    f2 = bvw_pdf(x[keep], y[keep], m.base)
     past = past[keep]
     out_f = m.q * f2[past]
     if np.any(out_f <= 0):
@@ -139,9 +137,15 @@ def aic(loglik: float, k: int) -> float:
     return 2.0 * k - 2.0 * loglik
 
 
+def _ranks(a) -> np.ndarray:
+    """Ranks of ``a`` from 1, ties given the average of their ranks."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def _spearman(x, y) -> float:
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
+    rx = _ranks(x)
+    ry = _ranks(y)
     sx, sy = rx.std(), ry.std()
     if sx == 0 or sy == 0:
         return 0.0
@@ -199,8 +203,6 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
         mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b)
 
         def value(a1, b1, a2, b2, rho, p):
-            if family == "gaussian":
-                rho = np.clip(rho, -_GAUSS_RHO_CAP, _GAUSS_RHO_CAP)
             return loglik_mbw(data, mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b))
     else:
         raise DomainError(f"unknown model {model!r}")
@@ -485,7 +487,7 @@ def deviance_test(full: FitResult, reduced: FitResult) -> dict:
     out = {
         "statistic": float(statistic),
         "df": int(df),
-        "p_value": float(stats.chi2.sf(max(statistic, 0.0), df)),
+        "p_value": float(chdtrc(df, max(statistic, 0.0))),
     }
     if statistic < 0:
         out["warning"] = "negative deviance: models non-nested or misconverged"

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import BivariateWeibull, bvw_pdf, bvw_survival
+from .bivariate import BivariateWeibull, bvw_cdf, bvw_pdf, bvw_survival
 from .copulas import CopulaSpec, GaussianCopulaParams, GfgmParams
 from .errors import DomainError, SurvivalUnderflowError
 from .univariate import (
-    RectUniform, WeibullParams, _arrays, _inside, _out, _scalar, rect_survival
+    RectUniform, WeibullParams, _arrays, _inside, _out, rect_survival
 )
 
 __all__ = [
@@ -105,48 +105,40 @@ def param_dict(m: MbwParams) -> dict:
 
 def mbw_pdf(x, y, m: MbwParams):
     """Mixture density: p/d^2 + q f_XY inside the rectangle, q f_XY outside."""
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     f2 = bvw_pdf(x, y, m.base)
     plateau = np.where(_inside(x, y, m.rect), m.p / m.rect.d**2, 0.0)
-    return _out(plateau + m.q * np.asarray(f2), scalar)
+    return _out(plateau + m.q * f2)
 
 
 def mbw_cdf(x, y, m: MbwParams):
     """Mixture CDF p F1 + q F2 with F1 the product of clamped ramps."""
-    from .bivariate import bvw_cdf
-
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     r = m.rect
     f1 = np.clip((x - r.x0) / r.d, 0.0, 1.0) * np.clip((y - r.y0) / r.d, 0.0, 1.0)
-    return _out(m.p * f1 + m.q * np.asarray(bvw_cdf(x, y, m.base)), scalar)
+    return _out(m.p * f1 + m.q * bvw_cdf(x, y, m.base))
 
 
 def mbw_survival(x, y, m: MbwParams):
     """Mixture survival p R1 + q R2."""
-    scalar, x, y = _arrays(x, y)
-    val = m.p * np.asarray(rect_survival(x, y, m.rect)) + m.q * np.asarray(
-        bvw_survival(x, y, m.base)
-    )
-    return _out(val, scalar)
+    return _out(m.p * rect_survival(x, y, m.rect) + m.q * bvw_survival(x, y, m.base))
 
 
 def mbw_hazard(x, y, m: MbwParams):
     """Mixture hazard f/R."""
-    scalar = _scalar(x, y)
-    f = np.asarray(mbw_pdf(x, y, m))
-    R = np.asarray(mbw_survival(x, y, m))
+    f = mbw_pdf(x, y, m)
+    R = mbw_survival(x, y, m)
     if np.any(R <= 0):
         raise SurvivalUnderflowError("mixture survival is not positive")
-    return _out(f / R, scalar)
+    return f / R
 
 
 def mixture_weight(x, y, m: MbwParams):
     """Weight w = p R1 / R of the uniform component in the hazard mix."""
-    scalar, x, y = _arrays(x, y)
-    R = np.asarray(mbw_survival(x, y, m))
+    R = mbw_survival(x, y, m)
     if np.any(R <= 0):
         raise SurvivalUnderflowError("mixture survival is not positive")
-    return _out(m.p * np.asarray(rect_survival(x, y, m.rect)) / R, scalar)
+    return _out(m.p * rect_survival(x, y, m.rect) / R)
 
 
 def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
@@ -161,8 +153,8 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     gx = gx.ravel()
     gy = gy.ravel()
-    f = np.asarray(mbw_pdf(gx, gy, m))
-    R = np.asarray(mbw_survival(gx, gy, m))
+    f = mbw_pdf(gx, gy, m)
+    R = mbw_survival(gx, gy, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(R > 0, f / R, np.inf)
     return np.column_stack([gx, gy, f, R, h])

@@ -50,17 +50,14 @@ class RectUniform:
             raise DomainError("rectangle anchor must be nonnegative and finite")
 
 
-def _scalar(*inputs) -> bool:
-    return all(np.ndim(v) == 0 for v in inputs)
-
-
-def _out(arr, scalar):
-    return float(np.asarray(arr).reshape(())) if scalar else arr
+def _out(arr):
+    """A 0-d result as a float; any other result as the array."""
+    return float(arr) if np.ndim(arr) == 0 else arr
 
 
 def _arrays(*inputs):
-    """``_scalar(*inputs)`` followed by each input as a float array."""
-    return (_scalar(*inputs), *[np.asarray(v, dtype=float) for v in inputs])
+    """Each input as a float array."""
+    return [np.asarray(v, dtype=float) for v in inputs]
 
 
 def _check_nonneg(*arrays):
@@ -84,9 +81,9 @@ def weibull_cdf(x, p: WeibullParams):
 
     Accepts scalars or arrays; raises DomainError for negative lifetimes.
     """
-    scalar, x = _arrays(x)
+    x = np.asarray(x, dtype=float)
     _check_nonneg(x)
-    return _out(-np.expm1(-((x / p.scale) ** p.shape)), scalar)
+    return _out(-np.expm1(-((x / p.scale) ** p.shape)))
 
 
 def weibull_pdf(x, p: WeibullParams):
@@ -95,28 +92,28 @@ def weibull_pdf(x, p: WeibullParams):
     Unbounded at x = 0 when shape < 1; that point raises SingularityError
     instead of returning an infinity.
     """
-    scalar, x = _arrays(x)
+    x = np.asarray(x, dtype=float)
     _check_nonneg(x)
     if p.shape < 1 and np.any(x == 0):
         raise SingularityError("Weibull pdf is unbounded at 0 for shape < 1")
     z = x / p.scale
     with np.errstate(divide="ignore"):
         val = (p.shape / p.scale) * z ** (p.shape - 1) * np.exp(-(z**p.shape))
-    return _out(val, scalar)
+    return _out(val)
 
 
 def weibull_quantile(u, p: WeibullParams):
     """Inverse Weibull CDF: scale * (-log(1-u))^(1/shape) for u in [0, 1)."""
-    scalar, u = _arrays(u)
+    u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise DomainError("quantile level must be in [0, 1)")
-    return _out(p.scale * (-np.log1p(-u)) ** (1.0 / p.shape), scalar)
+    return _out(p.scale * (-np.log1p(-u)) ** (1.0 / p.shape))
 
 
 def rect_pdf(x, y, r: RectUniform):
     """Density of the rectangle uniform: 1/d^2 on the closed square, else 0."""
-    scalar, x, y = _arrays(x, y)
-    return _out(np.where(_inside(x, y, r), 1.0 / r.d**2, 0.0), scalar)
+    x, y = _arrays(x, y)
+    return _out(np.where(_inside(x, y, r), 1.0 / r.d**2, 0.0))
 
 
 def rect_survival(x, y, r: RectUniform):
@@ -126,10 +123,10 @@ def rect_survival(x, y, r: RectUniform):
     branch of the piecewise form (1 before the rectangle, linear along a
     single overlapping axis, bilinear inside, 0 past either far edge).
     """
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     sx = np.clip((r.x0 + r.d - x) / r.d, 0.0, 1.0)
     sy = np.clip((r.y0 + r.d - y) / r.d, 0.0, 1.0)
-    return _out(sx * sy, scalar)
+    return _out(sx * sy)
 
 
 def rect_hazard(x, y, r: RectUniform):
@@ -138,10 +135,10 @@ def rect_hazard(x, y, r: RectUniform):
     1/((x0+d-x)(y0+d-y)) on the half-open square, +inf past either far
     edge, 0 before the rectangle.
     """
-    scalar, x, y = _arrays(x, y)
+    x, y = _arrays(x, y)
     beyond = (x >= r.x0 + r.d) | (y >= r.y0 + r.d)
     inside = (x >= r.x0) & (y >= r.y0) & ~beyond
     with np.errstate(divide="ignore", invalid="ignore"):
         finite = 1.0 / ((r.x0 + r.d - x) * (r.y0 + r.d - y))
     out = np.where(beyond, np.inf, np.where(inside, finite, 0.0))
-    return _out(out, scalar)
+    return _out(out)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mbweibull import (
     BivariateWeibull,
@@ -32,7 +37,8 @@ from mbweibull import (
 )
 from mbweibull import fitting
 from mbweibull.errors import DegenerateDataError, DomainError, SingularityError
-from mbweibull.fitting import _fit, _from_free, _objective, _to_free
+from mbweibull.fitting import _fit, _from_free, _objective, _ranks, _to_free
+from mbweibull.mixture import PARAM_NAMES, mbw_params
 
 
 def _mix(a1, b1, a2, b2, rho, d, p):
@@ -467,6 +473,26 @@ class TestBoundary:
         without = fit_mbw(data, eps=0.45, compute_ses=False)
         assert with_se.boundary_flags == without.boundary_flags == ["rho"]
 
+    def test_gaussian_rho_at_the_edge_stays_in_the_model(self):
+        # y = 3x: the likelihood grows without bound as rho goes to 1, so
+        # the fit ends next to the edge and must report a rho-hat inside
+        # the model, with the log-likelihood taken at its estimates
+        truth = MbwParams(
+            base=BivariateWeibull(
+                WeibullParams(4.0, 1.5), WeibullParams(3.5, 5.0), GaussianCopulaParams(0.6)
+            ),
+            rect=RectUniform(0.0, 0.0, 0.1),
+            p=0.3,
+        )
+        x = sample_mbw(200, truth, SeededStream(1))[:, 0]
+        data = np.column_stack([x, 3 * x])
+        fit = fit_mbw(data, copula_family="gaussian", compute_ses=False)
+        est = fit.estimates
+        GaussianCopulaParams(est["rho"])
+        assert "rho" in fit.boundary_flags
+        m = mbw_params(*(est[k] for k in PARAM_NAMES), "gaussian", 1.0, 1.0)
+        assert fit.loglik == loglik_mbw(data, m)
+
 
 class TestBootstrap:
     def test_percentile_contains_median(self):
@@ -568,3 +594,22 @@ class TestIntervalsAndComparison:
         worse.loglik = m1.loglik - 3.0
         out = deviance_test(worse, m1)
         assert "warning" in out
+
+    def test_ranks_average_ties(self):
+        data = vannman_data()
+        for a in (data[:, 0], data[:, 1], np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])):
+            np.testing.assert_array_equal(_ranks(a), stats.rankdata(a))
+
+    def test_fit_and_deviance_test_leave_scipy_stats_unloaded(self):
+        code = (
+            "import sys\n"
+            "from mbweibull import deviance_test, fit_m2, fit_mbw, vannman_data\n"
+            "data = vannman_data()\n"
+            "deviance_test(fit_mbw(data, min_pts=4, eps=1.6), fit_m2(data))\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        src = str(Path(fitting.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
+        )
