@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DegenerateDataError, DomainError, NoClusterError
+from .errors import ConvergenceError, DomainError, NoClusterError
 from .fitting import deviance_test, fit_m1, fit_m2, fit_mbw
 from .mixture import DEFAULT_PARAMS, PARAM_NAMES, hazard_grid, hazard_grid_csv, mbw_params
 from .sampler import SeededStream, sample_mbw
@@ -38,9 +38,29 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _write_manifest(out_path, command, params, seed=None, input_path=None):
+def _json_safe(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
+def _write_json(path, obj):
+    """Write ``obj`` as strict JSON (a non-finite number becomes null)."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _write_manifest(out_path, args, params=None, seed=None, input_path=None):
+    """The ``<out_path>.manifest.json`` sidecar; its parameters default to the
+    parsed flags other than the subcommand, --out, --data and --seed."""
+    if params is None:
+        skip = ("command", "func", "out", "data", "seed")
+        params = {k: v for k, v in vars(args).items() if k not in skip}
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": seed,
         "timestamp": _timestamp(),
@@ -49,16 +69,14 @@ def _write_manifest(out_path, command, params, seed=None, input_path=None):
     if input_path is not None:
         with open(input_path, "rb") as fh:
             manifest["input_digest"] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    with open(str(out_path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(str(out_path) + ".manifest.json", manifest)
 
 
 _COPULA_FLAGS = ("copula", "copula_a", "copula_b")
 
 
-def _flags(args, names=tuple(DEFAULT_PARAMS)) -> dict:
-    return {name: getattr(args, name) for name in names}
+def _flags(args) -> dict:
+    return {name: getattr(args, name) for name in DEFAULT_PARAMS}
 
 
 def _add_model_flags(p, names=tuple(DEFAULT_PARAMS)):
@@ -91,12 +109,7 @@ def cmd_simulate(args) -> int:
     m = mbw_params(**_flags(args))
     pts = sample_mbw(args.n, m, SeededStream(seed=args.seed))
     np.savetxt(args.out, pts, fmt="%.17g", delimiter=",", header="x,y", comments="")
-    _write_manifest(
-        args.out,
-        "simulate",
-        _flags(args, ("n", *DEFAULT_PARAMS)),
-        seed=args.seed,
-    )
+    _write_manifest(args.out, args, seed=args.seed)
     return EXIT_OK
 
 
@@ -134,15 +147,8 @@ def cmd_fit(args) -> int:
     result = _fit_one(data, args)
     _print_fit(result)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(result.to_json())
-            fh.write("\n")
-        _write_manifest(
-            args.out,
-            "fit",
-            _flags(args, ("model", "minpts", "eps", *_COPULA_FLAGS)),
-            input_path=None if args.data == "vannman" else args.data,
-        )
+        _write_json(args.out, result.to_dict())
+        _write_manifest(args.out, args, input_path=None if args.data == "vannman" else args.data)
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
 
 
@@ -188,12 +194,10 @@ def cmd_study(args) -> int:
         base = os.path.join(args.out_dir, f"study_n{n}")
         with open(base + ".csv", "w") as fh:
             fh.write(report.to_csv())
-        with open(base + ".json", "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_json(base + ".json", vars(report))
         _write_manifest(
             base + ".csv",
-            "study",
+            args,
             {"sample_size": n, "n_replicates": cfg.n_replicates},
             seed=cfg.base_seed,
             input_path=args.config,
@@ -231,11 +235,7 @@ def cmd_hazard_grid(args) -> int:
     grid = hazard_grid(m, args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     with open(args.out, "w") as fh:
         fh.write(hazard_grid_csv(grid))
-    _write_manifest(
-        args.out,
-        "hazard-grid",
-        _flags(args, ("x_min", "x_max", "y_min", "y_max", "step", *DEFAULT_PARAMS)),
-    )
+    _write_manifest(args.out, args)
     return EXIT_OK
 
 
@@ -289,7 +289,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, DegenerateDataError, NoClusterError, json.JSONDecodeError, ValueError) as e:
+    # DomainError, DegenerateDataError and JSONDecodeError are ValueErrors
+    except (ValueError, NoClusterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except ConvergenceError as e:

@@ -10,7 +10,6 @@ likelihood is the GFGM closed form that M3's bulk density uses, and it is
 fitted by the same stage-2 code.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -72,9 +71,6 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "aic": self.aic}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _as_data(data) -> np.ndarray:
@@ -421,8 +417,8 @@ def bootstrap(data, fitter, B: int, seed: int, level: float = 0.95):
     bootstrap standard errors and percentile confidence intervals.
     """
     data = _as_data(data)
-    if B < 100:
-        raise DomainError("bootstrap needs B >= 100")
+    if B < 100 or not 0 < level < 1:
+        raise DomainError("bootstrap needs B >= 100 and a level in (0, 1)")
     n = len(data)
     rows = []
     failures = 0

@@ -1,9 +1,8 @@
 """Monte-Carlo study harness: replicate generation, repeated fitting,
 and aggregation into per-parameter bias / MSE / coverage summaries."""
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -81,9 +80,6 @@ class StudyReport:
         lines = [("Parameter", *_COLUMNS)]
         lines += [(nm, *(f"{self.rows[nm][c]:.17g}" for c in _COLUMNS)) for nm in PARAM_NAMES]
         return "".join(",".join(line) + "\n" for line in lines)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def bias_mse(estimates, truth: float):

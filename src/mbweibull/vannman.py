@@ -1,6 +1,6 @@
-"""Vannman (1991) wood-drying experiment: checking-area damage for 36
-boards dried under two chemical schedules. Zero rows are boards that
-never checked, i.e. instantaneous failures."""
+"""Vannman (1991) wood-drying experiment: checking-area damage for 36 boards dried under
+two chemical schedules. Zero rows are boards that never checked, i.e. instantaneous
+failures. ``VANNMAN_DATA`` is read-only; ``vannman_data()`` returns a writable copy."""
 
 import numpy as np
 
@@ -46,6 +46,7 @@ VANNMAN_DATA = np.array(
         (10.58, 6.83),
     ]
 )
+VANNMAN_DATA.setflags(write=False)
 
 
 def vannman_data() -> np.ndarray:

@@ -8,6 +8,7 @@ from mbweibull import cli, fitting
 from mbweibull.cli import EXIT_CONVERGENCE, EXIT_INVALID, EXIT_OK, main
 from mbweibull.mixture import DEFAULT_PARAMS, mbw_params
 from mbweibull.studies import StudyConfig
+from mbweibull.vannman import VANNMAN_DATA, vannman_data
 
 
 @pytest.fixture(autouse=True)
@@ -288,6 +289,14 @@ class TestVannman:
             assert (se, pv, flag) == ("nan", "nan", "(boundary)")
 
 
+    def test_data_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            VANNMAN_DATA[0] = (50, 50)
+        copy = vannman_data()
+        assert copy.flags.writeable
+        assert np.array_equal(copy, VANNMAN_DATA)
+
+
 class TestHazardGrid:
     def test_figure_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -341,3 +350,56 @@ class TestHazardGrid:
         assert main(
             ["hazard-grid", "--x-min", "1.0", "--x-max", "0.0", "--out", str(out)]
         ) == EXIT_INVALID
+
+
+def _strict(path):
+    # NaN, Infinity and -Infinity are not JSON; a strict parser rejects them
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    def test_vannman_fit(self, tmp_path, model):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", "vannman", "--model", model, "--out", str(out)]) == EXIT_OK
+        fit = _strict(out)
+        _strict(str(out) + ".manifest.json")
+        if model != "m1":
+            # rho-hat sits on its boundary: no SE, no p-value
+            assert "rho" in fit["boundary_flags"]
+            assert fit["std_errors"]["rho"] is None
+            assert fit["p_values"]["rho"] is None
+
+    def test_manifest_parameters_are_the_flags(self, tmp_path):
+        out = str(tmp_path / "out")
+        model = set(DEFAULT_PARAMS)
+        runs = [
+            (["simulate", "--n", "5"], {"n"} | model),
+            (["fit", "--data", "vannman", "--model", "m1"],
+             {"model", "minpts", "eps", "copula", "copula_a", "copula_b"}),
+            (["hazard-grid", "--x-min", "0.2", "--x-max", "0.3", "--y-min", "0.2",
+              "--y-max", "0.3"], {"x_min", "x_max", "y_min", "y_max", "step"} | model),
+        ]
+        for argv, keys in runs:
+            assert main(argv + ["--out", out]) == EXIT_OK
+            manifest = _strict(out + ".manifest.json")
+            assert manifest["command"] == argv[0]
+            assert set(manifest["parameters"]) == keys
+
+    def test_study(self, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"sample_sizes": [100], "n_replicates": 2}))
+        assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        report = _strict(tmp_path / "study_n100.json")
+        assert report["n_replicates"] == 2
+        manifest = _strict(tmp_path / "study_n100.csv.manifest.json")
+        assert manifest["parameters"] == {"sample_size": 100, "n_replicates": 2}
+
+    def test_non_finite_numbers_become_null(self, tmp_path):
+        out = tmp_path / "x.json"
+        cli._write_json(out, {"a": [1.0, float("nan")], "b": {"c": (float("inf"), -np.inf)}})
+        assert _strict(out) == {"a": [1.0, None], "b": {"c": [None, None]}}

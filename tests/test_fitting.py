@@ -36,7 +36,7 @@ from mbweibull import (
     vannman_data,
 )
 from mbweibull import fitting
-from mbweibull.errors import DegenerateDataError, DomainError, SingularityError
+from mbweibull.errors import ConvergenceError, DegenerateDataError, DomainError, SingularityError
 from mbweibull.fitting import _fit, _from_free, _objective, _ranks, _to_free
 from mbweibull.mixture import PARAM_NAMES, mbw_params
 
@@ -376,7 +376,7 @@ class TestFitMbw:
 
     def test_json_serialization(self):
         res = fit_m1(vannman_data())
-        payload = json.loads(res.to_json())
+        payload = json.loads(json.dumps(res.to_dict()))
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
@@ -543,6 +543,38 @@ class TestBootstrap:
 
         with pytest.raises(TypeError):
             bootstrap(np.ones((10, 2)), fitter, B=100, seed=0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, np.nan])
+    def test_level_checked_before_any_refit(self, level):
+        calls = []
+        with pytest.raises(DomainError, match="level"):
+            bootstrap(np.ones((10, 2)), lambda d: calls.append(d) or {}, B=100,
+                      seed=0, level=level)
+        assert calls == []
+
+    @staticmethod
+    def _failing_first(k):
+        # a fitter whose first k calls fail on their data
+        calls = []
+
+        def fitter(d):
+            calls.append(None)
+            if len(calls) <= k:
+                raise DegenerateDataError("degenerate resample")
+            return {"m": float(d.mean())}
+
+        return fitter
+
+    def test_a_fifth_of_failed_replicates_is_tolerated(self):
+        out = bootstrap(np.arange(20.0).reshape(10, 2), self._failing_first(20), B=100,
+                        seed=0)
+        assert out["failures"] == 20
+        assert out["B"] == 100
+
+    def test_more_than_a_fifth_failed_raises(self):
+        with pytest.raises(ConvergenceError, match="21/100"):
+            bootstrap(np.arange(20.0).reshape(10, 2), self._failing_first(21), B=100,
+                      seed=0)
 
 
 class TestIntervalsAndComparison:

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from mbweibull import (
     run_study,
 )
 from mbweibull import studies
-from mbweibull.errors import DomainError
+from mbweibull.errors import ConvergenceError, DomainError
+from mbweibull.fitting import FitResult
+from mbweibull.mixture import PARAM_NAMES, param_dict
 
 TRUTH = MbwParams(
     base=BivariateWeibull(
@@ -83,7 +86,8 @@ class TestRunStudy:
         )
         a = run_study(cfg1)[100]
         b = run_study(cfg2)[100]
-        assert a.to_json() == b.to_json()
+        # a sorted dump compares NaN entries, which == on the dicts would not
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
         assert a.to_csv() == b.to_csv()
 
     def test_mse_dominates_squared_bias(self):
@@ -110,6 +114,32 @@ class TestRunStudy:
         cfg = StudyConfig(true_params=TRUTH, sample_sizes=(100,), n_replicates=2)
         with pytest.raises(TypeError):
             run_study(cfg)
+
+    @staticmethod
+    def _nonfinite_first(monkeypatch, k):
+        # replace the fit by the truth with unit SEs; the first k fits
+        # report a non-finite log-likelihood
+        calls = []
+
+        def fit_mbw(data, **kwargs):
+            calls.append(None)
+            estimates = {nm: param_dict(TRUTH)[nm] for nm in PARAM_NAMES}
+            return FitResult(
+                model="m3", estimates=estimates, k=7,
+                loglik=-np.inf if len(calls) <= k else -1.0,
+                std_errors=dict.fromkeys(estimates, 1.0), diagnostics={"n_c1": 5},
+            )
+
+        monkeypatch.setattr(studies, "fit_mbw", fit_mbw)
+        return StudyConfig(true_params=TRUTH, sample_sizes=(20,), n_replicates=10)
+
+    def test_a_tenth_of_failed_replicates_is_tolerated(self, monkeypatch):
+        rep = run_study(self._nonfinite_first(monkeypatch, 1))[20]
+        assert rep.n_failures == 1
+
+    def test_more_than_a_tenth_failed_raises(self, monkeypatch):
+        with pytest.raises(ConvergenceError, match="2/10 replicates failed at n=20"):
+            run_study(self._nonfinite_first(monkeypatch, 2))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
