@@ -4,14 +4,7 @@ and early failures."""
 __version__ = "0.1.0"
 
 from .bivariate import BivariateWeibull, bvw_cdf, bvw_hazard, bvw_pdf, bvw_survival
-from .clustering import (
-    ClusterLabels,
-    DbscanParams,
-    dbscan,
-    origin_cluster,
-    origin_cluster_mask,
-    select_eps,
-)
+from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .copulas import (
     CopulaSpec,
     GaussianCopulaParams,

@@ -89,6 +89,14 @@ def _add_model_flags(p, names=tuple(DEFAULT_PARAMS)):
 
 
 def _read_xy_csv(path) -> np.ndarray:
+    with open(path) as fh:
+        head = fh.readline().split(",")
+    try:
+        float(head[0]), float(head[1])
+    except (ValueError, IndexError):
+        pass  # the first line names the columns
+    else:
+        raise DomainError(f"{path} needs a header line naming its columns, such as x,y")
     try:
         with warnings.catch_warnings():
             # an empty file warns here and fails the size check below
@@ -171,13 +179,20 @@ def _decode(raw, table, what) -> dict:
     return out
 
 
+def _int(value) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 # the study-config keys and their conversions; a key the config leaves out
 # takes its StudyConfig default, or for the model its DEFAULT_PARAMS value
 _STUDY_KEYS = {
     "true_params": lambda v: _decode(v, dict.fromkeys(PARAM_NAMES, float), "true_params"),
     "copula": str, "copula_a": float, "copula_b": float,
-    "sample_sizes": lambda v: tuple(map(operator.index, v)),
-    "n_replicates": int, "level": float, "base_seed": int, "min_pts": int,
+    "sample_sizes": lambda v: tuple(map(_int, v)),
+    "n_replicates": _int, "level": float, "base_seed": _int, "min_pts": _int,
     "eps_by_n": lambda v: {int(n): float(eps) for n, eps in v.items()},
 }
 

@@ -11,14 +11,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, DomainError, NoClusterError
 
-__all__ = [
-    "DbscanParams",
-    "ClusterLabels",
-    "dbscan",
-    "select_eps",
-    "origin_cluster",
-    "origin_cluster_mask",
-]
+__all__ = ["DbscanParams", "dbscan", "select_eps", "origin_cluster_mask"]
 
 NOISE = -1
 
@@ -35,19 +28,9 @@ class DbscanParams:
             raise DomainError("eps must be positive")
 
 
-@dataclass(frozen=True)
-class ClusterLabels:
-    """Per-point assignment: cluster id >= 0, or -1 for noise."""
-
-    labels: np.ndarray
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.labels.max() + 1) if self.labels.size else 0
-
-
-def dbscan(points, p: DbscanParams) -> ClusterLabels:
-    """Classic DBSCAN over 2-d points with Euclidean distance.
+def dbscan(points, p: DbscanParams) -> np.ndarray:
+    """Classic DBSCAN over 2-d points with Euclidean distance. Returns the
+    per-point labels: a cluster id >= 0, or -1 for noise.
 
     Core points have >= min_pts neighbors (counting themselves) within
     eps, in the closed ball. Clusters are the connected components of the
@@ -73,7 +56,7 @@ def dbscan(points, p: DbscanParams) -> ClusterLabels:
     _, comp = connected_components(adj[np.ix_(core, core)], directed=False)
     # every core neighbor of a core point lies in its own cluster
     lowest = np.where(adj[:, core], comp, n).min(axis=1, initial=n)
-    return ClusterLabels(np.where(lowest < n, lowest, NOISE).astype(int))
+    return np.where(lowest < n, lowest, NOISE).astype(int)
 
 
 def select_eps(points, min_pts: int) -> float:
@@ -101,20 +84,14 @@ def select_eps(points, min_pts: int) -> float:
     return eps
 
 
-def origin_cluster_mask(points, labels: ClusterLabels) -> np.ndarray:
+def origin_cluster_mask(points, labels) -> np.ndarray:
     """Boolean mask of the cluster whose closest member is nearest the
-    origin (ties broken by smaller cluster id)."""
+    origin (ties broken by smaller cluster id): the cluster of the
+    clustered point nearest the origin."""
     points = np.asarray(points, dtype=float)
-    lab = labels.labels
-    ids = np.unique(lab[lab >= 0])
-    if ids.size == 0:
+    clustered = labels >= 0
+    if not np.any(clustered):
         raise NoClusterError("all points are noise")
-    dist = np.hypot(points[:, 0], points[:, 1])
-    best = min(ids, key=lambda c: (dist[lab == c].min(), c))
-    return lab == best
-
-
-def origin_cluster(points, labels: ClusterLabels) -> np.ndarray:
-    """The member points of the origin cluster."""
-    points = np.asarray(points, dtype=float)
-    return points[origin_cluster_mask(points, labels)]
+    lab = labels[clustered]
+    dist = np.hypot(points[clustered, 0], points[clustered, 1])
+    return labels == lab[np.lexsort((lab, dist))[0]]

@@ -179,9 +179,8 @@ def copula_cdf(u, v, c: CopulaSpec):
     val = np.zeros(u.shape)
     if np.any(interior):
         val[interior] = std_bivariate_normal_cdf(z1[interior], z2[interior], c.rho)
-    val = np.where((u == 0) | (v == 0), 0.0, val)
     val = np.where(u == 1, v, val)
-    val = np.where(v == 1, np.where(u == 1, 1.0, u), val)
+    val = np.where(v == 1, u, val)
     return _out(val)
 
 

@@ -45,6 +45,8 @@ class StudyConfig:
             raise DomainError("level must be in (0, 1)")
         if any(n < MIN_OBSERVATIONS for n in self.sample_sizes):
             raise DomainError(f"sample sizes must be >= {MIN_OBSERVATIONS}")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise DomainError("sample sizes must be distinct")
         if self.min_pts < 1:
             raise DomainError("min_pts must be >= 1")
         if not all(eps > 0 for eps in self.eps_by_n.values()):

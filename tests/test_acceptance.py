@@ -305,7 +305,7 @@ def test_criterion_6_property_suites():
         pts = rng.uniform(0, 4, (n, 2))
         min_pts = int(rng.integers(2, 6))
         eps = float(rng.uniform(0.3, 1.5))
-        lab = dbscan(pts, DbscanParams(min_pts, eps)).labels
+        lab = dbscan(pts, DbscanParams(min_pts, eps))
         d2 = np.sum((pts[:, None] - pts[None, :]) ** 2, axis=-1)
         adj = d2 <= eps * eps
         core = adj.sum(axis=1) >= min_pts

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mbweibull import cli, fitting
+from mbweibull import cli, fitting, studies
 from mbweibull.cli import EXIT_CONVERGENCE, EXIT_INVALID, EXIT_OK, main
 from mbweibull.mixture import DEFAULT_PARAMS, mbw_params
 from mbweibull.studies import StudyConfig
@@ -95,6 +95,20 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("")
         assert main(["fit", "--data", str(bad), "--model", "m1"]) == EXIT_INVALID
+
+    def test_header_line_required(self, tmp_path, capsys):
+        # read with its first row as column names, a headerless file would
+        # fit n - 1 rows
+        pts = np.random.default_rng(0).exponential(1.0, (12, 2))
+        rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in pts)
+        csv = tmp_path / "pts.csv"
+        csv.write_text(rows)
+        assert main(["fit", "--data", str(csv), "--model", "m1"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "header line" in err and "x,y" in err
+        csv.write_text("x,y\n" + rows)
+        np.testing.assert_array_equal(cli._read_xy_csv(csv), pts)
 
     def test_csv_input(self, tmp_path):
         csv = tmp_path / "pts.csv"
@@ -244,17 +258,29 @@ class TestStudy:
 
     @pytest.mark.parametrize("over, flags, word", [
         ({"sample_sizes": [5]}, (), "sample sizes"),
+        ({"sample_sizes": [100, 100]}, (), "distinct"),
         ({"min_pts": 0}, (), "min_pts"),
         ({"eps_by_n": {"100": 0}}, (), "eps_by_n"),
         ({}, ("--workers", "-3"), "workers"),
         ({}, ("--workers", "0"), "workers"),
-    ], ids=["size-5", "min-pts-0", "eps-0", "workers-negative", "workers-0"])
+    ], ids=["size-5", "size-repeated", "min-pts-0", "eps-0", "workers-negative", "workers-0"])
     def test_invalid_setting_runs_no_replicate(self, tmp_path, monkeypatch, capsys, over,
                                                flags, word):
         code, seen = self._run_captured(monkeypatch, self._config(tmp_path, **over), *flags)
         assert (code, seen) == (EXIT_INVALID, [])
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err
+
+    @pytest.mark.parametrize("value", [1.9, "7", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("key", ["n_replicates", "base_seed", "min_pts", "sample_sizes"])
+    def test_non_integer_runs_no_replicate(self, tmp_path, monkeypatch, capsys, key, value):
+        fits = []
+        monkeypatch.setattr(studies, "fit_mbw", lambda *a, **k: fits.append(a))
+        cfg = self._config(tmp_path, **{key: [value] if key == "sample_sizes" else value})
+        assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
+        assert fits == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     def test_empty_eps_by_n_presets_no_radius(self, tmp_path, monkeypatch):
         code, seen = self._run_captured(monkeypatch, self._config(tmp_path, eps_by_n={}))

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mbweibull import (
-    ClusterLabels,
     DbscanParams,
     dbscan,
-    origin_cluster,
     origin_cluster_mask,
     select_eps,
     vannman_data,
@@ -40,9 +38,8 @@ def _oracle_core_components(points, min_pts, eps):
     return core, adj, comp
 
 
-def _check_against_oracle(points, labels, min_pts, eps):
+def _check_against_oracle(points, lab, min_pts, eps):
     core, adj, comp = _oracle_core_components(points, min_pts, eps)
-    lab = labels.labels
     # core points: the label partition must equal the component partition
     for i in np.flatnonzero(core):
         for j in np.flatnonzero(core):
@@ -110,7 +107,7 @@ class TestDbscanLabels:
         contested = 0
         for pts, min_pts, eps in self._instances():
             expected, core, neighbors = _reference_dbscan(pts, min_pts, eps)
-            labels = dbscan(pts, DbscanParams(min_pts=min_pts, eps=eps)).labels
+            labels = dbscan(pts, DbscanParams(min_pts=min_pts, eps=eps))
             assert labels.dtype == expected.dtype
             np.testing.assert_array_equal(labels, expected)
             contested += sum(
@@ -126,7 +123,7 @@ class TestDbscanLabels:
         a = [[0.0, 0.0], [-0.5, 0.0], [-0.5, 0.5], [-0.5, -0.5]]
         b = [[2.0, 0.0], [2.5, 0.0], [2.5, 0.5], [2.5, -0.5]]
         pts = np.array([[1.0, 0.0], *b, *a])
-        labels = dbscan(pts, DbscanParams(min_pts=4, eps=1.0)).labels
+        labels = dbscan(pts, DbscanParams(min_pts=4, eps=1.0))
         np.testing.assert_array_equal(labels, [0, 0, 0, 0, 0, 1, 1, 1, 1])
 
 
@@ -137,22 +134,22 @@ class TestDbscan:
         g2 = rng.normal(10, 0.1, (5, 2))
         pts = np.vstack([g1, g2])
         labels = dbscan(pts, DbscanParams(min_pts=4, eps=0.5))
-        assert labels.n_clusters == 2
-        assert np.all(labels.labels >= 0)
-        assert len(set(labels.labels[:5])) == 1
-        assert len(set(labels.labels[5:])) == 1
-        assert labels.labels[0] != labels.labels[5]
+        assert labels.max() + 1 == 2
+        assert np.all(labels >= 0)
+        assert len(set(labels[:5])) == 1
+        assert len(set(labels[5:])) == 1
+        assert labels[0] != labels[5]
 
     def test_all_noise(self):
         pts = np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]])
         labels = dbscan(pts, DbscanParams(min_pts=4, eps=1.0))
-        assert labels.n_clusters == 0
-        assert np.all(labels.labels == -1)
+        assert labels.max() + 1 == 0
+        assert np.all(labels == -1)
 
     def test_vannman_origin_cluster_max(self):
         data = vannman_data()
         labels = dbscan(data, DbscanParams(min_pts=4, eps=1.6))
-        c1 = origin_cluster(data, labels)
+        c1 = data[origin_cluster_mask(data, labels)]
         assert c1.max() == pytest.approx(1.40)
 
     def test_matches_oracle_on_random_instances(self):
@@ -172,10 +169,10 @@ class TestDbscan:
         )
         p = DbscanParams(min_pts=4, eps=0.6)
         core, _, comp = _oracle_core_components(pts, p.min_pts, p.eps)
-        base = dbscan(pts, p).labels
+        base = dbscan(pts, p)
         for _ in range(20):
             perm = rng.permutation(len(pts))
-            lab = dbscan(pts[perm], p).labels
+            lab = dbscan(pts[perm], p)
             inv = np.empty_like(perm)
             inv[perm] = np.arange(len(perm))
             lab = lab[inv]
@@ -190,8 +187,8 @@ class TestDbscan:
         p = DbscanParams(min_pts=4, eps=0.4)
         labels = dbscan(pts, p)
         core, _, _ = _oracle_core_components(pts, p.min_pts, p.eps)
-        for c in range(labels.n_clusters):
-            assert np.any(core[labels.labels == c])
+        for c in range(labels.max() + 1):
+            assert np.any(core[labels == c])
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -221,7 +218,7 @@ class TestSelectEps:
         pts = np.vstack([rng.uniform(0, 0.1, (30, 2)), rng.uniform(1, 4, (70, 2))])
         eps = select_eps(pts, 4)
         labels = dbscan(pts, DbscanParams(4, eps))
-        c1 = origin_cluster(pts, labels)
+        c1 = pts[origin_cluster_mask(pts, labels)]
         assert c1.max() <= 0.1 + 1e-12
 
     def test_too_few_points(self):
@@ -241,7 +238,7 @@ class TestOriginCluster:
         rng = np.random.default_rng(1)
         pts = rng.normal(2, 0.1, (10, 2))
         labels = dbscan(pts, DbscanParams(4, 0.5))
-        assert len(origin_cluster(pts, labels)) == 10
+        assert len(pts[origin_cluster_mask(pts, labels)]) == 10
 
     def test_picks_nearest(self):
         rng = np.random.default_rng(1)
@@ -257,7 +254,7 @@ class TestOriginCluster:
         pts = np.array([[0.0, 0.0], [3.0, 3.0], [6.0, 0.0]])
         labels = dbscan(pts, DbscanParams(4, 0.5))
         with pytest.raises(NoClusterError):
-            origin_cluster(pts, labels)
+            origin_cluster_mask(pts, labels)
 
     def test_vannman_membership(self):
         data = vannman_data()
@@ -270,6 +267,28 @@ class TestOriginCluster:
         assert data[mask].max() == pytest.approx(1.40)
         assert not mask[np.argmax(data[:, 0])]
 
-    def test_labels_container(self):
-        lab = ClusterLabels(np.array([0, 0, 1, -1]))
-        assert lab.n_clusters == 2
+    def test_matches_nearest_member_rule(self):
+        # the rule written out: each cluster's closest member, then the
+        # nearest of those, ties to the smaller id; grids make the ties
+        rng = np.random.default_rng(11)
+        ties = 0
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            min_pts = int(rng.integers(1, 7))
+            if trial % 2:
+                pts = rng.integers(0, 6, (n, 2)).astype(float)
+            else:
+                pts = rng.uniform(0, 4, (n, 2))
+            if trial % 3 == 0:
+                pts -= rng.integers(0, 6, 2)
+            labels = dbscan(pts, DbscanParams(min_pts, float(rng.choice([1.0, 1.5]))))
+            if np.all(labels < 0):
+                with pytest.raises(NoClusterError):
+                    origin_cluster_mask(pts, labels)
+                continue
+            dist = np.hypot(pts[:, 0], pts[:, 1])
+            nearest = [dist[labels == c].min() for c in range(labels.max() + 1)]
+            best = min(range(len(nearest)), key=lambda c: (nearest[c], c))
+            np.testing.assert_array_equal(origin_cluster_mask(pts, labels), labels == best)
+            ties += nearest.count(nearest[best]) > 1
+        assert ties >= 3

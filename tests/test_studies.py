@@ -149,13 +149,14 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("setting", [
         {"sample_sizes": (100, 9)},
+        {"sample_sizes": (100, 200, 100)},
         {"min_pts": 0},
         {"eps_by_n": {100: 0.0}},
         {"eps_by_n": {100: -0.45}},
         {"eps_by_n": {100: float("nan")}},
         {"workers": 0},
         {"workers": -3},
-    ], ids=["size-9", "min-pts-0", "eps-0", "eps-negative", "eps-nan", "workers-0",
+    ], ids=["size-9", "size-repeated", "min-pts-0", "eps-0", "eps-negative", "eps-nan", "workers-0",
             "workers-negative"])
     def test_config_rejects_settings_no_replicate_survives(self, setting):
         with pytest.raises(DomainError):
