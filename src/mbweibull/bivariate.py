@@ -29,10 +29,25 @@ class BivariateWeibull:
 
 
 def _exponents(x, y, m: BivariateWeibull):
-    """The (x/beta1)^alpha1 and (y/beta2)^alpha2 terms."""
+    """The terms A = (x/beta1)^alpha1 and B = (y/beta2)^alpha2 and their sum,
+    each +inf where it overflows; the caller silences that warning."""
     A = (x / m.margin1.scale) ** m.margin1.shape
     B = (y / m.margin2.scale) ** m.margin2.shape
-    return A, B
+    return A, B, A + B
+
+
+def _tilt(S, c: GfgmParams):
+    """The GFGM factor exp(-(a-1)(A+B)); exactly 1 for a = 1, also where
+    A+B is infinite and (a-1)(A+B) would be 0 * inf."""
+    return np.exp(-(c.a - 1) * S) if c.a != 1 else 1.0
+
+
+def _over_survival(num, R):
+    """num/R for a survival R that is positive in theory: raises
+    SurvivalUnderflowError where R underflowed to zero, not returning inf."""
+    if np.any(R <= 0):
+        raise SurvivalUnderflowError("survival underflowed to zero")
+    return _out(num / R)
 
 
 def bvw_cdf(x, y, m: BivariateWeibull):
@@ -47,33 +62,27 @@ def _gfgm_pdf(x, y, m: BivariateWeibull):
     c = m.copula
     a1, b1 = m.margin1.shape, m.margin1.scale
     a2, b2 = m.margin2.shape, m.margin2.scale
-    A, B = _exponents(x, y, m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        A, B, S = _exponents(x, y, m)
+        eS = np.exp(-S)
+        base = (a1 * a2 / (b1 * b2)) * A ** (1 - 1 / a1) * B ** (1 - 1 / a2) * eS
+    # where exp(-(A+B)) underflows the density is 0, also where a power above
+    # overflowed and the product is inf * 0
+    base = np.where(eS == 0, 0.0, base)
     eA = np.exp(-A)
     eB = np.exp(-B)
-    D = (
-        np.exp(-(c.a - 1) * (A + B))
-        * ((c.a + c.b) * eA - c.a)
-        * ((c.a + c.b) * eB - c.a)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = (
-            (a1 * a2 / (b1 * b2))
-            * A ** (1 - 1 / a1)
-            * B ** (1 - 1 / a2)
-            * np.exp(-(A + B))
-        )
+    D = _tilt(S, c) * ((c.a + c.b) * eA - c.a) * ((c.a + c.b) * eB - c.a)
     return base * (1 + c.rho * (1 - eA) ** (c.b - 1) * (1 - eB) ** (c.b - 1) * D)
 
 
 def _gfgm_survival(x, y, m: BivariateWeibull):
     # closed form of 1 - F1 - F2 + C(F1, F2) for a GFGM copula
     c = m.copula
-    A, B = _exponents(x, y, m)
+    with np.errstate(over="ignore"):
+        A, B, S = _exponents(x, y, m)
     eA = np.exp(-A)
     eB = np.exp(-B)
-    return np.exp(-(A + B)) * (
-        1 + c.rho * np.exp(-(c.a - 1) * (A + B)) * (1 - eA) ** c.b * (1 - eB) ** c.b
-    )
+    return np.exp(-S) * (1 + c.rho * _tilt(S, c) * (1 - eA) ** c.b * (1 - eB) ** c.b)
 
 
 # The compositions of the margins with the copula: the path of every copula
@@ -121,13 +130,5 @@ def bvw_survival(x, y, m: BivariateWeibull):
 
 
 def bvw_hazard(x, y, m: BivariateWeibull):
-    """Hazard f/R of the bivariate Weibull.
-
-    Raises SurvivalUnderflowError where the survival function underflows
-    to zero rather than silently returning infinity.
-    """
-    f = bvw_pdf(x, y, m)
-    R = bvw_survival(x, y, m)
-    if np.any(R <= 0):
-        raise SurvivalUnderflowError("survival underflowed to zero")
-    return f / R
+    """Hazard f/R of the bivariate Weibull; raises SurvivalUnderflowError where R underflows."""
+    return _over_survival(bvw_pdf(x, y, m), bvw_survival(x, y, m))

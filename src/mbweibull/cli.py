@@ -186,14 +186,21 @@ def _int(value) -> int:
     return operator.index(value)
 
 
+def _float(value) -> float:
+    """``value`` as a float if it is a JSON number; a bool or string is refused."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 # the study-config keys and their conversions; a key the config leaves out
 # takes its StudyConfig default, or for the model its DEFAULT_PARAMS value
 _STUDY_KEYS = {
-    "true_params": lambda v: _decode(v, dict.fromkeys(PARAM_NAMES, float), "true_params"),
-    "copula": str, "copula_a": float, "copula_b": float,
+    "true_params": lambda v: _decode(v, dict.fromkeys(PARAM_NAMES, _float), "true_params"),
+    "copula": str, "copula_a": _float, "copula_b": _float,
     "sample_sizes": lambda v: tuple(map(_int, v)),
-    "n_replicates": _int, "level": float, "base_seed": _int, "min_pts": _int,
-    "eps_by_n": lambda v: {int(n): float(eps) for n, eps in v.items()},
+    "n_replicates": _int, "level": _float, "base_seed": _int, "min_pts": _int,
+    "eps_by_n": lambda v: {int(n): _float(eps) for n, eps in v.items()},
 }
 
 

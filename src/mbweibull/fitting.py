@@ -333,11 +333,11 @@ def fit_m1(data) -> FitResult:
     )
 
 
-def fit_m2(data, compute_ses: bool = True) -> FitResult:
+def fit_m2(data) -> FitResult:
     """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
     uniform component), fitted over (beta1, beta2, rho)."""
     data = _as_data(data)
-    return _fit(data, "m2", _objective("m2", data), _start(data, "m2"), compute_ses)
+    return _fit(data, "m2", _objective("m2", data), _start(data, "m2"), compute_ses=True)
 
 
 def _wald_p(est, se) -> float:

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import BivariateWeibull, bvw_cdf, bvw_pdf, bvw_survival
+from .bivariate import BivariateWeibull, _over_survival, bvw_cdf, bvw_pdf, bvw_survival
 from .copulas import CopulaSpec, GaussianCopulaParams, GfgmParams
-from .errors import DomainError, SurvivalUnderflowError
+from .errors import DomainError
 from .univariate import (
-    RectUniform, WeibullParams, _arrays, _inside, _out, rect_survival
+    RectUniform, WeibullParams, _arrays, _hazard, _inside, _out, rect_survival
 )
 
 __all__ = [
@@ -125,20 +125,13 @@ def mbw_survival(x, y, m: MbwParams):
 
 
 def mbw_hazard(x, y, m: MbwParams):
-    """Mixture hazard f/R."""
-    f = mbw_pdf(x, y, m)
-    R = mbw_survival(x, y, m)
-    if np.any(R <= 0):
-        raise SurvivalUnderflowError("mixture survival is not positive")
-    return f / R
+    """Mixture hazard f/R; raises SurvivalUnderflowError where R underflows."""
+    return _over_survival(mbw_pdf(x, y, m), mbw_survival(x, y, m))
 
 
 def mixture_weight(x, y, m: MbwParams):
     """Weight w = p R1 / R of the uniform component in the hazard mix."""
-    R = mbw_survival(x, y, m)
-    if np.any(R <= 0):
-        raise SurvivalUnderflowError("mixture survival is not positive")
-    return _out(m.p * rect_survival(x, y, m.rect) / R)
+    return _over_survival(m.p * rect_survival(x, y, m.rect), mbw_survival(x, y, m))
 
 
 def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
@@ -155,9 +148,7 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
     gy = gy.ravel()
     f = mbw_pdf(gx, gy, m)
     R = mbw_survival(gx, gy, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(R > 0, f / R, np.inf)
-    return np.column_stack([gx, gy, f, R, h])
+    return np.column_stack([gx, gy, f, R, _hazard(f, R)])
 
 
 def hazard_grid_csv(grid: np.ndarray) -> str:

@@ -76,6 +76,12 @@ def _inside(x, y, r: RectUniform):
     )
 
 
+def _hazard(f, R):
+    """The hazard f/R, +inf where the survival R is exactly 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _out(np.where(R > 0, np.divide(f, R), np.inf))
+
+
 def weibull_cdf(x, p: WeibullParams):
     """Weibull CDF, 1 - exp(-(x/scale)^shape).
 
@@ -83,7 +89,8 @@ def weibull_cdf(x, p: WeibullParams):
     """
     x = np.asarray(x, dtype=float)
     _check_nonneg(x)
-    return _out(-np.expm1(-((x / p.scale) ** p.shape)))
+    with np.errstate(over="ignore"):
+        return _out(-np.expm1(-((x / p.scale) ** p.shape)))
 
 
 def weibull_pdf(x, p: WeibullParams):
@@ -96,10 +103,13 @@ def weibull_pdf(x, p: WeibullParams):
     _check_nonneg(x)
     if p.shape < 1 and np.any(x == 0):
         raise SingularityError("Weibull pdf is unbounded at 0 for shape < 1")
-    z = x / p.scale
-    with np.errstate(divide="ignore"):
-        val = (p.shape / p.scale) * z ** (p.shape - 1) * np.exp(-(z**p.shape))
-    return _out(val)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = x / p.scale
+        ez = np.exp(-(z**p.shape))
+        val = (p.shape / p.scale) * z ** (p.shape - 1) * ez
+    # where exp(-z^shape) underflows the density is 0, also where z^(shape-1)
+    # overflowed and the product is inf * 0
+    return _out(np.where(ez == 0, 0.0, val))
 
 
 def weibull_quantile(u, p: WeibullParams):
@@ -130,15 +140,6 @@ def rect_survival(x, y, r: RectUniform):
 
 
 def rect_hazard(x, y, r: RectUniform):
-    """Hazard of the rectangle uniform.
-
-    1/((x0+d-x)(y0+d-y)) on the half-open square, +inf past either far
-    edge, 0 before the rectangle.
-    """
-    x, y = _arrays(x, y)
-    beyond = (x >= r.x0 + r.d) | (y >= r.y0 + r.d)
-    inside = (x >= r.x0) & (y >= r.y0) & ~beyond
-    with np.errstate(divide="ignore", invalid="ignore"):
-        finite = 1.0 / ((r.x0 + r.d - x) * (r.y0 + r.d - y))
-    out = np.where(beyond, np.inf, np.where(inside, finite, 0.0))
-    return _out(out)
+    """Hazard f/R of the rectangle uniform: 1/((x0+d-x)(y0+d-y)) on the
+    half-open square, 0 before it, +inf on and past either far edge."""
+    return _hazard(rect_pdf(x, y, r), rect_survival(x, y, r))

@@ -160,7 +160,7 @@ def test_criterion_3_m3_reproduction():
 def test_criterion_4_model_ordering():
     data = vannman_data()
     m1 = fit_m1(data)
-    m2 = fit_m2(data, compute_ses=False)
+    m2 = fit_m2(data)
     m3 = fit_mbw(data, min_pts=4, eps=1.6, compute_ses=False)
     d32 = deviance_test(m3, m2)
     d21 = deviance_test(m2, m1)

@@ -19,6 +19,22 @@ from mbweibull import (
 )
 from mbweibull.bivariate import _composed_pdf, _composed_survival
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
+from mbweibull.mixture import (
+    DEFAULT_PARAMS, mbw_hazard, mbw_params, mbw_pdf, mbw_survival, mixture_weight
+)
+
+
+def _truth(copula="gfgm"):
+    """The criterion-5 mixture, with the given copula family."""
+    return mbw_params(**{**DEFAULT_PARAMS, "copula": copula})
+
+
+# the ratios over a survival that is positive in theory, on a mixture
+_RATIOS = {
+    "bvw_hazard": lambda x, y, m: bvw_hazard(x, y, m.base),
+    "mbw_hazard": mbw_hazard,
+    "mixture_weight": mixture_weight,
+}
 
 
 def _model(a1=1.0, b1=1.0, a2=1.0, b2=1.0, copula=None):
@@ -205,10 +221,28 @@ class TestHazard:
             R = np.asarray(bvw_survival(x, y, m))
             assert np.allclose(h * R, f, rtol=1e-12, atol=1e-300)
 
-    def test_underflow_reported(self):
-        m = _model(a1=4, b1=0.1, a2=4, b2=0.1, copula=GfgmParams(0.0))
+    @pytest.mark.parametrize("ratio", _RATIOS.values(), ids=list(_RATIOS))
+    def test_underflow_reported(self, ratio):
         with pytest.raises(SurvivalUnderflowError):
-            bvw_hazard(50.0, 50.0, m)
+            ratio(50.0, 50.0, _truth())
+
+
+class TestInfiniteExponent:
+    """Where (x/beta)^alpha is +inf, f and R are 0, not NaN, and without a
+    warning; the hazards then report the underflow."""
+
+    @pytest.mark.parametrize("point", [(np.inf, 1.0), (1e100, 1.0)], ids=["inf", "1e100"])
+    @pytest.mark.parametrize("copula", ["gfgm", "gaussian"])
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    def test_density_and_survival_vanish(self, point, copula, array):
+        m = _truth(copula)
+        x, y = (np.array([v, v]) for v in point) if array else point
+        for value in (bvw_pdf(x, y, m.base), bvw_survival(x, y, m.base),
+                      mbw_pdf(x, y, m), mbw_survival(x, y, m)):
+            assert np.all(np.asarray(value) == 0.0)
+        for ratio in _RATIOS.values():
+            with pytest.raises(SurvivalUnderflowError):
+                ratio(x, y, m)
 
 
 _shape = st.floats(0.3, 20.0)

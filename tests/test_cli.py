@@ -282,6 +282,18 @@ class TestStudy:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("value", ["0.9", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("key", ["level", "copula_a", "copula_b", "true_params", "eps_by_n"])
+    def test_non_number_runs_no_replicate(self, tmp_path, monkeypatch, capsys, key, value):
+        fits = []
+        monkeypatch.setattr(studies, "fit_mbw", lambda *a, **k: fits.append(a))
+        nested = {"true_params": {"alpha1": value}, "eps_by_n": {"100": value}}
+        cfg = self._config(tmp_path, **{key: nested.get(key, value)})
+        assert main(["study", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_INVALID
+        assert fits == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_empty_eps_by_n_presets_no_radius(self, tmp_path, monkeypatch):
         code, seen = self._run_captured(monkeypatch, self._config(tmp_path, eps_by_n={}))
         assert code == EXIT_OK

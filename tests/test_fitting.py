@@ -286,7 +286,7 @@ class TestFitM2:
                 [rng.exponential(1.0, 50), rng.exponential(1.0, 50)]
             )
             m1 = fit_m1(data)
-            m2 = fit_m2(data, compute_ses=False)
+            m2 = fit_m2(data)
             gain = 2 * (m2.loglik - m1.loglik)
             if -1e-6 <= gain < 6.635:  # chi-square(1) 99th percentile
                 wins += 1
@@ -604,7 +604,7 @@ class TestIntervalsAndComparison:
 
     def test_deviance_identical_models(self):
         res = fit_m1(vannman_data())
-        other = fit_m2(vannman_data(), compute_ses=False)
+        other = fit_m2(vannman_data())
         same = deviance_test(other, res)
         assert same["df"] == 1
         zero = deviance_test(other, other.__class__(**{**other.__dict__, "k": 2}))
@@ -613,7 +613,7 @@ class TestIntervalsAndComparison:
 
     def test_deviance_m2_vs_m1(self):
         m1 = fit_m1(vannman_data())
-        m2 = fit_m2(vannman_data(), compute_ses=False)
+        m2 = fit_m2(vannman_data())
         out = deviance_test(m2, m1)
         assert out["statistic"] == pytest.approx(34.66, abs=0.2)
         assert out["df"] == 1

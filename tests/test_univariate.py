@@ -90,6 +90,15 @@ class TestWeibullPdf:
         num = (weibull_cdf(xs + h, p) - weibull_cdf(xs - h, p)) / (2 * h)
         assert np.allclose(num, weibull_pdf(xs, p), atol=1e-6)
 
+    def test_zero_where_exponent_overflows(self):
+        # (x/scale)^shape is +inf at both points; the density is 0 there, not
+        # inf * 0, and the CDF is 1, both without an overflow warning
+        p = WeibullParams(4, 1.5)
+        assert weibull_pdf(np.inf, p) == 0.0
+        assert weibull_pdf(1e100, p) == 0.0
+        assert weibull_pdf(np.array([np.inf, 1e100]), p).tolist() == [0.0, 0.0]
+        assert weibull_cdf(1e100, p) == 1.0
+
 
 class TestWeibullQuantile:
     def test_zero(self):
@@ -146,6 +155,14 @@ class TestRectUniform:
         assert rect_hazard(0.5, 0.5, r) == pytest.approx(4.0)
         assert rect_hazard(2.0, 2.0, r) == np.inf
         assert rect_hazard(1.0, 0.5, r) == np.inf
+
+    def test_hazard_branches_array(self):
+        # square [1, 3] x [2, 4]: before it, inside, on the far x edge, beyond it
+        r = RectUniform(1, 2, 2)
+        h = rect_hazard(np.array([0.5, 1.5, 3.0, 3.5]), np.array([2.5, 2.5, 3.0, 2.5]), r)
+        assert h[0] == 0.0
+        assert h[1] == pytest.approx(1 / ((3 - 1.5) * (4 - 2.5)), rel=1e-12)
+        assert h[2:].tolist() == [np.inf, np.inf]
 
     def test_hazard_times_survival_is_pdf(self):
         r = RectUniform(0.0, 0.0, 0.8)
