@@ -100,9 +100,13 @@ def _composed_pdf(x, y, m: BivariateWeibull):
 
 
 def _composed_survival(x, y, m: BivariateWeibull):
-    u = weibull_cdf(x, m.margin1)
-    v = weibull_cdf(y, m.margin2)
-    return np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        A, B, _ = _exponents(x, y, m)
+    u = -np.expm1(-A)
+    v = -np.expm1(-B)
+    R = np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
+    # R is 0 where a margin's survival e^-A is, not the rounding of 1 - u
+    return np.where(np.exp(-np.maximum(A, B)) == 0, 0.0, R)
 
 
 def bvw_pdf(x, y, m: BivariateWeibull):

@@ -2,17 +2,25 @@
 
 The full mixture model (M3) is fitted in two stages: the rectangle side d
 is plugged in from the origin cluster found by DBSCAN, then the remaining
-parameters are maximized by Nelder-Mead in an unconstrained transformed
-space. Comparison models: M1 (independent exponential margins, closed
+parameters are maximized by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, SIAM
+J. Sci. Comput. 16:1190) with finite-difference gradients: shapes and
+scales on a log scale, p on a logit scale and rho as itself, each in a
+box. Comparison models: M1 (independent exponential margins, closed
 form) and M2 (FGM-coupled exponential margins). M2 is M3 with fixed
 values: shapes 1, a GFGM(rho, 1, 1) copula and no uniform component. Its
 likelihood is the GFGM closed form that M3's bulk density uses, and it is
 fitted by the same stage-2 code.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 from scipy import optimize
 from scipy.special import chdtrc, expit, logit, ndtr
 
@@ -148,12 +156,13 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-# Each parameter kind fixes the optimizer's transform to an unconstrained
-# coordinate, its inverse, and the distance from a value to the edge of
-# the parameter space. Shapes and scales are both of kind "scale".
+# Each parameter kind fixes the optimizer's coordinate for a value, its
+# inverse, and the distance from a value to the edge of the parameter
+# space. Shapes and scales are both of kind "scale"; rho, of kind "box", is
+# its own coordinate and keeps to its copula's space by the search box.
 _KINDS = {
     "scale": (np.log, np.exp, lambda t: np.inf),
-    "tanh": (np.arctanh, np.tanh, lambda t: 1.0 - abs(t)),
+    "box": (float, float, lambda t: 1.0 - abs(t)),
     "logit": (logit, expit, lambda t: min(t, 1.0 - t)),
 }
 
@@ -166,10 +175,30 @@ _BOUNDARY_GAP = 1e-3
 # their kinds, and k. M2 is M3 with shapes fixed at 1, a GFGM copula with
 # a = b = 1 and no uniform component; M3's k counts its plugged-in d.
 _MEMBERS = {
-    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "tanh"}, 3),
+    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "box"}, 3),
     "m3": ({"alpha1": "scale", "beta1": "scale", "alpha2": "scale", "beta2": "scale",
-            "rho": "tanh", "p": "logit"}, 7),
+            "rho": "box", "p": "logit"}, 7),
 }
+
+# The search box of stage 2: a log or logit coordinate moves at most
+# _REACH from its start, and rho stays in its copula's space, closed for
+# GFGM and open for the Gaussian.
+_REACH = 30.0
+_RHO_BOX = {"gfgm": (-1.0, 1.0), "gaussian": (-1.0 + 1e-6, 1.0 - 1e-6)}
+
+# The search restarts from its end point until a pass gains less than
+# _GAIN, within _PASSES passes and _MAX_EVALS evaluations in all. A pass
+# stops once a step gains less than _FTOL relative to the log-likelihood:
+# at scipy's default of 2.2e-9, a restarted pass took one step and stopped
+# with a gain of about 1e-8, ten times over.
+_GAIN = 1e-9
+_PASSES = 10
+_MAX_EVALS = 5000
+_FTOL = 1e-12
+
+# The value minimized at a rejected point: finite, so that a finite
+# difference across it stays finite.
+_REJECTED = 1e10
 
 
 def _to_free(kinds, theta) -> np.ndarray:
@@ -205,7 +234,9 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
 
     def loglik(theta):
         try:
-            ll = value(*theta)
+            # an overflow rejects the point instead of warning
+            with np.errstate(over="raise", invalid="raise"):
+                ll = value(*theta)
         except (SingularityError, DomainError, FloatingPointError):
             return -np.inf
         return float(ll) if np.isfinite(ll) else -np.inf
@@ -228,50 +259,98 @@ def _start(data, model, p=None) -> np.ndarray:
     return np.array([guess[nm] for nm in _MEMBERS[model][0]])
 
 
+@functools.cache
+def _scipy_openblas():
+    """The OpenBLAS bundled with scipy's wheel, as a ctypes library, or None
+    where this scipy has none or it lacks the thread setting."""
+    site = os.path.dirname(os.path.dirname(scipy.__file__))
+    for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Caps scipy's OpenBLAS at one thread inside the block and restores its
+    count after. L-BFGS-B's small BLAS calls wake that library's other
+    threads, which then spin on a core of their own for no work."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+
+
 def _fit(data, model, loglik, theta0, compute_ses, diagnostics=None, **fixed):
     """Maximize the log-likelihood ``loglik`` of member ``model`` by
-    Nelder-Mead in the kinds' unconstrained space, starting from
-    ``theta0``. ``fixed`` holds the plugged-in parameters reported beside
-    the estimates."""
+    L-BFGS-B with finite-difference gradients in the kinds' coordinates,
+    starting from ``theta0``, within the search box of ``_REACH`` and
+    ``_RHO_BOX``. The search restarts from its end point until a pass gains
+    less than ``_GAIN``. It has converged when it did so within its budget,
+    with no log or logit coordinate on the edge of the box; scipy's own
+    status is not consulted, since a line search can fail at the optimum.
+    ``fixed`` holds the plugged-in parameters reported beside the
+    estimates."""
     params, k = _MEMBERS[model]
     kinds = list(params.values())
+    diagnostics = diagnostics or {}
 
     def neg(z):
-        return -loglik(_from_free(kinds, z))
+        ll = loglik(_from_free(kinds, z))
+        return -ll if ll > -np.inf else _REJECTED
 
-    z0 = _to_free(kinds, theta0)
     shape = np.isin(list(params), ("alpha1", "alpha2"))
-    if shape.any() and not np.isfinite(neg(z0)):
+    if shape.any() and loglik(theta0) == -np.inf:
         # shape start of 1.5 can be rejected only in pathological data;
         # retry from shapes just above 1
         theta0 = np.where(shape, 1.05, theta0)
-        z0 = _to_free(kinds, theta0)
-    # fixed initial simplex: +0.1 along each transformed coordinate
-    simplex = np.vstack([z0, z0 + 0.1 * np.eye(len(z0))])
-    res = optimize.minimize(
-        neg,
-        z0,
-        method="Nelder-Mead",
-        options={"maxfev": 5000, "fatol": 1e-8, "xatol": 1e-6, "initial_simplex": simplex},
-    )
-    ll = float(-res.fun)
+    z = _to_free(kinds, theta0)
+    rho_box = _RHO_BOX[diagnostics.get("copula_family", "gfgm")]
+    box = [rho_box if kind == "box" else (v - _REACH, v + _REACH) for kind, v in zip(kinds, z)]
+    f, nit, nfev = np.inf, 0, 0
+    with _one_blas_thread():
+        for _ in range(_PASSES):
+            res = optimize.minimize(
+                neg, z, method="L-BFGS-B", bounds=box,
+                options={"maxfun": _MAX_EVALS - nfev, "ftol": _FTOL},
+            )
+            gain = f - res.fun
+            z, f = res.x, res.fun
+            nit += res.nit
+            nfev += res.nfev
+            if gain < _GAIN or nfev >= _MAX_EVALS:
+                break
+    ll = -f if f < _REJECTED else -np.inf
+    edge = [nm for nm, kind, v, (lo, hi) in zip(params, kinds, z, box)
+            if kind != "box" and not lo < v < hi]
     result = FitResult(
         model=model,
-        estimates={**dict(zip(params, _from_free(kinds, res.x).tolist())), **fixed},
+        estimates={**dict(zip(params, _from_free(kinds, z).tolist())), **fixed},
         loglik=ll,
         k=k,
-        converged=bool(res.success and np.isfinite(ll)),
-        iterations=int(res.nit),
-        n_evals=int(res.nfev),
-        diagnostics=diagnostics or {},
+        converged=bool(gain < _GAIN and not edge and np.isfinite(ll)),
+        iterations=nit,
+        n_evals=nfev,
+        diagnostics=diagnostics,
     )
     # flags are listed by name
     result.boundary_flags = [
         nm for nm, kind in sorted(params.items())
         if _KINDS[kind][2](result.estimates[nm]) < _BOUNDARY_GAP
     ]
-    if not result.converged:
-        result.diagnostics["message"] = str(res.message)
+    result.diagnostics["message"] = str(res.message)
+    if edge:
+        result.diagnostics["box_edge"] = edge
     if compute_ses:
         compute_se(data, result)
     return result
@@ -289,8 +368,8 @@ def fit_mbw(
     """Two-stage fit of the mixture model (model M3).
 
     Stage 1 fixes d from the DBSCAN origin cluster; stage 2 maximizes the
-    log-likelihood over the six remaining parameters by Nelder-Mead in
-    transformed space. d counts as an estimated parameter in k.
+    log-likelihood over the six remaining parameters by L-BFGS-B in a box
+    (see ``_fit``). d counts as an estimated parameter in k.
     """
     data = _as_data(data)
     if len(data) < MIN_OBSERVATIONS:

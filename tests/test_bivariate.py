@@ -228,10 +228,14 @@ class TestHazard:
 
 
 class TestInfiniteExponent:
-    """Where (x/beta)^alpha is +inf, f and R are 0, not NaN, and without a
-    warning; the hazards then report the underflow."""
+    """Where either (x/beta1)^alpha1 or (y/beta2)^alpha2 is +inf, f and R
+    are 0, not NaN and not the rounding of 1 - u, and without a warning;
+    the hazards then report the underflow."""
 
-    @pytest.mark.parametrize("point", [(np.inf, 1.0), (1e100, 1.0)], ids=["inf", "1e100"])
+    @pytest.mark.parametrize(
+        "point", [(np.inf, 1.0), (1e100, 1.0), (1.0, np.inf), (1.0, 1e100)],
+        ids=["inf", "1e100", "y-inf", "y-1e100"],
+    )
     @pytest.mark.parametrize("copula", ["gfgm", "gaussian"])
     @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
     def test_density_and_survival_vanish(self, point, copula, array):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def _m2_loglik(data, theta) -> float:
 
 class TestParamKinds:
     def test_roundtrip(self):
-        kinds = ["scale", "scale", "tanh", "logit"]
+        kinds = ["scale", "scale", "box", "logit"]
         theta = np.array([2.5, 0.01, -0.73, 0.9])
         back = _from_free(kinds, _to_free(kinds, theta))
         assert np.allclose(back, theta, rtol=1e-12)
@@ -380,6 +381,127 @@ class TestFitMbw:
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
+
+
+def _blas_threads_in_a_fit():
+    # scipy's OpenBLAS thread count in each L-BFGS-B pass of a Vannman M3
+    # fit, and after the fit
+    lib = fitting._scipy_openblas()
+    seen = set()
+    minimize = fitting.optimize.minimize
+
+    def spy(*args, **kwargs):
+        seen.add(lib.scipy_openblas_get_num_threads())
+        return minimize(*args, **kwargs)
+
+    fitting.optimize.minimize = spy
+    try:
+        fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+    finally:
+        fitting.optimize.minimize = minimize
+    return seen, lib.scipy_openblas_get_num_threads()
+
+
+class TestOptimizer:
+    """Stage 2 by L-BFGS-B in a box, restarted until a pass gains nothing:
+    as good as the Nelder-Mead fits it replaced, in fewer evaluations."""
+
+    def test_vannman_m3_reaches_the_nelder_mead_optimum(self):
+        # Nelder-Mead reached -70.2624151190 in 1214 evaluations
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert res.loglik >= -70.2624151190 - 1e-9
+        assert res.n_evals <= 400
+        assert res.converged
+
+    def test_vannman_m2_reaches_the_nelder_mead_optimum(self):
+        # Nelder-Mead reached -94.8955435785 in 377 evaluations
+        res = fit_m2(vannman_data())
+        assert res.loglik >= -94.8955435785 - 1e-9
+        assert res.n_evals <= 150
+        assert res.converged
+
+    def test_counts_sum_over_passes(self, monkeypatch):
+        passes = []
+        minimize = fitting.optimize.minimize
+
+        def spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            passes.append(res)
+            return res
+
+        monkeypatch.setattr(fitting.optimize, "minimize", spy)
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert len(passes) >= 2
+        assert res.n_evals == sum(r.nfev for r in passes)
+        assert res.iterations == sum(r.nit for r in passes)
+        assert passes[-2].fun - passes[-1].fun < fitting._GAIN
+        assert res.diagnostics["message"] == str(passes[-1].message)
+
+    def test_converged_comes_from_the_restart_test(self, monkeypatch):
+        # a last pass that scipy ends abnormally, at the optimum, still converges
+        minimize = fitting.optimize.minimize
+
+        def abnormal(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success, res.status = False, 2
+            res.message = "ABNORMAL: "
+            return res
+
+        monkeypatch.setattr(fitting.optimize, "minimize", abnormal)
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert res.converged
+        assert res.diagnostics["message"] == "ABNORMAL: "
+
+    def test_end_on_the_box_edge_is_not_converged(self, monkeypatch):
+        # a box this small stops p (and the scales) short of the optimum
+        monkeypatch.setattr(fitting, "_REACH", 0.05)
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert not res.converged
+        assert "p" in res.diagnostics["box_edge"]
+
+    def test_spent_budget_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 40)
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert not res.converged
+        assert res.n_evals >= 40
+
+    @pytest.mark.parametrize("n, eps", [(100, 0.45), (300, 0.25)])
+    def test_criterion_5_replicates(self, n, eps):
+        # Nelder-Mead took 500-720 evaluations per replicate
+        truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
+        for r in range(3):
+            data = sample_mbw(n, truth, SeededStream(20260823, n * 1_000_000 + r))
+            res = fit_mbw(data, copula_family="gaussian", eps=eps, compute_ses=False)
+            assert res.converged
+            assert res.n_evals <= 350
+
+    @pytest.mark.parametrize("where", ["this process", "pool worker"])
+    def test_fits_run_one_blas_thread(self, where):
+        # L-BFGS-B wakes the threads of scipy's OpenBLAS, which then spin on
+        # a core of their own; the fit caps them and restores the count
+        lib = fitting._scipy_openblas()
+        if lib is None:
+            pytest.skip("this scipy bundles no OpenBLAS with a thread setting")
+        before = lib.scipy_openblas_get_num_threads()
+        if where == "pool worker":
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                seen, after = pool.submit(_blas_threads_in_a_fit).result(timeout=60)
+        else:
+            seen, after = _blas_threads_in_a_fit()
+        assert seen == {1}
+        assert after == before
+
+    def test_overflow_is_a_rejected_point(self):
+        # every margin probability underflows, and the Gaussian copula
+        # density at rho = 1 - 1e-6 overflows there: the objective rejects
+        # the point, where loglik_mbw warns (an error in these tests)
+        truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
+        data = sample_mbw(100, truth, SeededStream(1))
+        theta = (1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3)
+        loglik = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
+        assert loglik(np.array(theta)) == -np.inf
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            loglik_mbw(data, mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0))
 
 
 def _vannman_board_21_x(value):
