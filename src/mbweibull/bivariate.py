@@ -4,6 +4,7 @@ survival, and hazard, with closed forms for the GFGM family."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri, xlogy
 
 from .copulas import (
     CopulaSpec,
@@ -107,6 +108,71 @@ def _composed_survival(x, y, m: BivariateWeibull):
     R = np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
     # R is 0 where a margin's survival e^-A is, not the rounding of 1 - u
     return np.where(np.exp(-np.maximum(A, B)) == 0, 0.0, R)
+
+
+def _gfgm_factor(A, c: GfgmParams):
+    """One margin's factor g(A) = u^(b-1) (1-u)^(a-1) (b(1-u) - au) of the
+    GFGM density 1 + rho g(A) g(B), with u = 1 - e^-A, and A g'(A)."""
+    a, b = c.a, c.b
+    e = np.exp(-A)
+    w = -np.expm1(-A)
+    t = np.exp(-(a - 1) * A) if a != 1 else 1.0
+    h = (a + b) * e - a
+    wb = w ** (b - 1)
+    # dg/dA, from dw/dA = e, dt/dA = -(a-1) t and dh/dA = -(a+b) e
+    dg = -(a - 1) * wb * h - (a + b) * wb * e
+    if b != 1:
+        dg = dg + (b - 1) * w ** (b - 2) * e * h
+    return wb * t * h, A * t * dg
+
+
+def _gaussian_z(A):
+    """The normal score z = ndtri(1 - e^-A) of a margin and A dz/dA, each
+    taken from the tail A lies in, so that neither rounds to 0 or 1 first.
+    A dz/dA = A e^-A / phi(z) is formed in log space."""
+    z = np.where(A < np.log(2.0), ndtri(-np.expm1(-A)), -ndtri(np.exp(-A)))
+    return z, np.exp(np.log(A) - A + 0.5 * z * z + 0.5 * np.log(2 * np.pi))
+
+
+def _log_density_score(x, y, m: BivariateWeibull):
+    """log f of the bivariate Weibull and, row by row, its gradient over
+    (alpha1, beta1, alpha2, beta2, rho): the score of the bulk density.
+
+    Rows are assumed valid: where the density vanishes the values are
+    -inf or NaN, and no warning is raised.
+    """
+    c = m.copula
+    n = np.size(x)
+    S = np.empty((n, 5))
+    logf = np.zeros(n)
+    with np.errstate(all="ignore"):
+        A, B, _ = _exponents(x, y, m)
+        # A dlog c/dA and B dlog c/dB, and dlog c/drho
+        if isinstance(c, GfgmParams):
+            gA, kA = _gfgm_factor(A, c)
+            gB, kB = _gfgm_factor(B, c)
+            den = 1 + c.rho * gA * gB
+            logf += np.log(den)
+            kA, kB = c.rho * kA * gB / den, c.rho * kB * gA / den
+            S[:, 4] = gA * gB / den
+        else:
+            rho = c.rho
+            D = 1 - rho * rho
+            z1, k1 = _gaussian_z(A)
+            z2, k2 = _gaussian_z(B)
+            Q = rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2
+            logf += -Q / (2 * D) - 0.5 * np.log(D)
+            kA = rho * (z2 - rho * z1) / D * k1
+            kB = rho * (z1 - rho * z2) / D * k2
+            S[:, 4] = rho / D + (z1 * z2 * (1 + rho * rho) - rho * (z1 * z1 + z2 * z2)) / D**2
+        for i, (t, E, k, p) in enumerate(((x, A, kA, m.margin1), (y, B, kB, m.margin2))):
+            # log f_i = log(alpha/beta) + (alpha-1) log(t/beta) - E, with
+            # dE/dalpha = E log(t/beta) and dE/dbeta = -(alpha/beta) E
+            L = np.log(t / p.scale)
+            logf += np.log(p.shape / p.scale) + xlogy(p.shape - 1, t / p.scale) - E
+            S[:, 2 * i] = 1 / p.shape + L * (1 - E) + k * L
+            S[:, 2 * i + 1] = p.shape / p.scale * (E - 1 - k)
+    return logf, S
 
 
 def bvw_pdf(x, y, m: BivariateWeibull):

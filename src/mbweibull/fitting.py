@@ -3,13 +3,15 @@
 The full mixture model (M3) is fitted in two stages: the rectangle side d
 is plugged in from the origin cluster found by DBSCAN, then the remaining
 parameters are maximized by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, SIAM
-J. Sci. Comput. 16:1190) with finite-difference gradients: shapes and
-scales on a log scale, p on a logit scale and rho as itself, each in a
-box. Comparison models: M1 (independent exponential margins, closed
-form) and M2 (FGM-coupled exponential margins). M2 is M3 with fixed
-values: shapes 1, a GFGM(rho, 1, 1) copula and no uniform component. Its
-likelihood is the GFGM closed form that M3's bulk density uses, and it is
-fitted by the same stage-2 code.
+J. Sci. Comput. 16:1190) on the analytic score of the log-likelihood:
+shapes and scales on a log scale, p on a logit scale and rho as itself,
+each in a box. Standard errors come from the observed information, the
+central-difference Jacobian of that score. Comparison models: M1
+(independent exponential margins, closed form) and M2 (FGM-coupled
+exponential margins). M2 is M3 with fixed values: shapes 1, a GFGM(rho,
+1, 1) copula and no uniform component. Its likelihood is the GFGM closed
+form that M3's bulk density uses, and it is fitted by the same stage-2
+code.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ import scipy
 from scipy import optimize
 from scipy.special import chdtrc, expit, logit, ndtr
 
-from .bivariate import BivariateWeibull, _gfgm_pdf, bvw_pdf
+from .bivariate import BivariateWeibull, _gfgm_pdf, _log_density_score, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .copulas import GfgmParams
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .mixture import MbwParams, _copula, mbw_params
 from .sampler import SeededStream
-from .univariate import WeibullParams
+from .univariate import RectUniform, WeibullParams
 
 __all__ = [
     "FitResult",
@@ -91,6 +93,16 @@ def _as_data(data) -> np.ndarray:
     return data
 
 
+def _kept_rows(x, y, r: RectUniform):
+    """The rows the mixture likelihood counts, and which of those lie past
+    the square. Kept rows lie past the square, or in it strictly above the
+    anchor; the bulk density is evaluated on these kept rows only, so an
+    excluded axis row cannot trip the singularity check of a shape below 1."""
+    past = (x > r.x0 + r.d) | (y > r.y0 + r.d)
+    keep = past | ((x > r.x0) & (y > r.y0))
+    return keep, past[keep]
+
+
 def loglik_mbw(data, m: MbwParams) -> float:
     """Log-likelihood of the mixture model.
 
@@ -105,19 +117,13 @@ def loglik_mbw(data, m: MbwParams) -> float:
     """
     data = _as_data(data)
     x, y = data[:, 0], data[:, 1]
-    r = m.rect
-    # kept rows lie past the square, or in it strictly above the anchor; the
-    # bulk density is evaluated on these kept rows only, so an excluded
-    # axis row cannot trip the singularity check of a shape below 1
-    past = (x > r.x0 + r.d) | (y > r.y0 + r.d)
-    keep = past | ((x > r.x0) & (y > r.y0))
+    keep, past = _kept_rows(x, y, m.rect)
     f2 = bvw_pdf(x[keep], y[keep], m.base)
-    past = past[keep]
     out_f = m.q * f2[past]
     if np.any(out_f <= 0):
         return -np.inf
     with np.errstate(divide="ignore"):
-        ll = np.sum(np.log(m.p / r.d**2 + m.q * f2[~past])) + np.sum(np.log(out_f))
+        ll = np.sum(np.log(m.p / m.rect.d**2 + m.q * f2[~past])) + np.sum(np.log(out_f))
     return float(ll)
 
 
@@ -157,18 +163,21 @@ def _spearman(x, y) -> float:
 
 
 # Each parameter kind fixes the optimizer's coordinate for a value, its
-# inverse, and the distance from a value to the edge of the parameter
-# space. Shapes and scales are both of kind "scale"; rho, of kind "box", is
-# its own coordinate and keeps to its copula's space by the search box.
+# inverse, the distance from a value to the edge of the parameter space,
+# and the derivative of the value in its coordinate, which chains the
+# score to the optimizer. Shapes and scales are both of kind "scale"; rho,
+# of kind "box", is its own coordinate and keeps to its copula's space by
+# the search box.
 _KINDS = {
-    "scale": (np.log, np.exp, lambda t: np.inf),
-    "box": (float, float, lambda t: 1.0 - abs(t)),
-    "logit": (logit, expit, lambda t: min(t, 1.0 - t)),
+    "scale": (np.log, np.exp, lambda t: np.inf, lambda t: t),
+    "box": (float, float, lambda t: 1.0 - abs(t), lambda t: 1.0),
+    "logit": (logit, expit, lambda t: min(t, 1.0 - t), lambda t: t * (1.0 - t)),
 }
 
 # A parameter closer than this to the edge of its space is on its boundary:
-# the fit flags it and compute_se holds it fixed. The Hessian step of an
-# unflagged parameter, 1e-4 for |t| <= 1, then never leaves the space.
+# the fit flags it and compute_se holds it fixed. The central-difference
+# step of an unflagged parameter's score, 1e-4 for |t| <= 1, then never
+# leaves the space.
 _BOUNDARY_GAP = 1e-3
 
 # The nested family M2 within M3, by model name: the free parameters and
@@ -196,8 +205,8 @@ _PASSES = 10
 _MAX_EVALS = 5000
 _FTOL = 1e-12
 
-# The value minimized at a rejected point: finite, so that a finite
-# difference across it stays finite.
+# The value minimized at a rejected point, with a zero gradient: finite,
+# so that the line search steps back from it.
 _REJECTED = 1e10
 
 
@@ -209,39 +218,62 @@ def _from_free(kinds, z) -> np.ndarray:
     return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
 
 
+def _free_slope(kinds, theta) -> np.ndarray:
+    return np.array([_KINDS[k][3](t) for k, t in zip(kinds, theta)])
+
+
 def _objective(model, data, d=None, family=None, a=None, b=None):
-    """The log-likelihood of member ``model`` on ``data`` over its free
-    parameters in ``_MEMBERS`` order; M3 also takes its plugged-in d and its
-    copula. A bad setting (model, family, GFGM exponent, d) raises
-    DomainError here, once; the function returned maps to -inf only the
-    free values at which the model is undefined or has no density.
+    """The log-likelihood of member ``model`` on ``data`` and its score,
+    both over its free parameters in ``_MEMBERS`` order; M3 also takes its
+    plugged-in d and its copula. A bad setting (model, family, GFGM
+    exponent, d) raises DomainError here, once. The function returned maps
+    a point to (log-likelihood, score), and to (-inf, None) where the model
+    is undefined, has no density, or overflows.
     """
+    x, y = data[:, 0], data[:, 1]
     if model == "m2":
-        x, y = data[:, 0], data[:, 1]
 
         def value(b1, b2, rho):
             bulk = BivariateWeibull(WeibullParams(1.0, b1), WeibullParams(1.0, b2), GfgmParams(rho))
             f = _gfgm_pdf(x, y, bulk)
-            return np.sum(np.log(f)) if np.all(f > 0) else -np.inf
+            if not np.all(f > 0):
+                return -np.inf, None
+            # M2 has no shape columns, which are -inf on a row with a zero
+            return np.sum(np.log(f)), _log_density_score(x, y, bulk)[1][:, [1, 3, 4]].sum(axis=0)
     elif model == "m3":
         # the settings are valid when they make a model with some free values
         mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b)
+        keep, past = _kept_rows(x, y, RectUniform(0.0, 0.0, d))
+        xk, yk = x[keep], y[keep]
 
         def value(a1, b1, a2, b2, rho, p):
-            return loglik_mbw(data, mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b))
+            m = mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b)
+            ll = loglik_mbw(data, m)
+            if ll == -np.inf:
+                return ll, None
+            logf, S = _log_density_score(xk, yk, m.base)
+            # a row on the plateau weighs its bulk score by its bulk share
+            # q f / (p/d^2 + q f); a row past the square has share 1
+            w = np.where(past, 1.0, expit(np.log(m.q / p) + logf + 2 * np.log(d)))
+            # a row whose share underflowed has no bulk density left to
+            # differentiate, and its score may be NaN
+            S[w == 0] = 0.0
+            return ll, np.append(w @ S, np.sum((1 - w) / p - w / m.q))
     else:
         raise DomainError(f"unknown model {model!r}")
 
-    def loglik(theta):
+    def objective(theta):
         try:
             # an overflow rejects the point instead of warning
             with np.errstate(over="raise", invalid="raise"):
-                ll = value(*theta)
+                ll, score = value(*theta)
         except (SingularityError, DomainError, FloatingPointError):
-            return -np.inf
-        return float(ll) if np.isfinite(ll) else -np.inf
+            return -np.inf, None
+        if not (np.isfinite(ll) and np.all(np.isfinite(score))):
+            return -np.inf, None
+        return float(ll), score
 
-    return loglik
+    return objective
 
 
 def _start(data, model, p=None) -> np.ndarray:
@@ -291,12 +323,12 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads(before)
 
 
-def _fit(data, model, loglik, theta0, compute_ses, diagnostics=None, **fixed):
-    """Maximize the log-likelihood ``loglik`` of member ``model`` by
-    L-BFGS-B with finite-difference gradients in the kinds' coordinates,
+def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed):
+    """Maximize the log-likelihood of member ``model`` by L-BFGS-B on the
+    analytic score of ``objective``, chained to the kinds' coordinates,
     starting from ``theta0``, within the search box of ``_REACH`` and
-    ``_RHO_BOX``. The search restarts from its end point until a pass gains
-    less than ``_GAIN``. It has converged when it did so within its budget,
+    ``_RHO_BOX``. The search restarts from the best point it has evaluated
+    until a pass gains less than ``_GAIN``. It has converged when it did so within its budget,
     with no log or logit coordinate on the edge of the box; scipy's own
     status is not consulted, since a line search can fail at the optimum.
     ``fixed`` holds the plugged-in parameters reported beside the
@@ -305,31 +337,43 @@ def _fit(data, model, loglik, theta0, compute_ses, diagnostics=None, **fixed):
     kinds = list(params.values())
     diagnostics = diagnostics or {}
 
-    def neg(z):
-        ll = loglik(_from_free(kinds, z))
-        return -ll if ll > -np.inf else _REJECTED
-
     shape = np.isin(list(params), ("alpha1", "alpha2"))
-    if shape.any() and loglik(theta0) == -np.inf:
+    if shape.any() and objective(theta0)[0] == -np.inf:
         # shape start of 1.5 can be rejected only in pathological data;
         # retry from shapes just above 1
         theta0 = np.where(shape, 1.05, theta0)
     z = _to_free(kinds, theta0)
+    # the best point evaluated, with its value and gradient. Each pass
+    # starts from it and the fit ends on it: a pass that scipy ends
+    # abnormally can report a value taken at another point than its x
+    best = {"f": _REJECTED, "z": z, "g": np.zeros(len(z))}
+
+    def neg(z):
+        theta = _from_free(kinds, z)
+        ll, score = objective(theta)
+        if ll == -np.inf:
+            return _REJECTED, np.zeros(len(z))
+        f, g = -ll, -score * _free_slope(kinds, theta)
+        if f < best["f"]:
+            best.update(f=f, z=z.copy(), g=g)
+        return f, g
+
     rho_box = _RHO_BOX[diagnostics.get("copula_family", "gfgm")]
     box = [rho_box if kind == "box" else (v - _REACH, v + _REACH) for kind, v in zip(kinds, z)]
     f, nit, nfev = np.inf, 0, 0
     with _one_blas_thread():
-        for _ in range(_PASSES):
+        for passes in range(1, _PASSES + 1):
             res = optimize.minimize(
-                neg, z, method="L-BFGS-B", bounds=box,
+                neg, best["z"], jac=True, method="L-BFGS-B", bounds=box,
                 options={"maxfun": _MAX_EVALS - nfev, "ftol": _FTOL},
             )
-            gain = f - res.fun
-            z, f = res.x, res.fun
+            gain = f - best["f"]
+            f = best["f"]
             nit += res.nit
             nfev += res.nfev
             if gain < _GAIN or nfev >= _MAX_EVALS:
                 break
+    z = best["z"]
     ll = -f if f < _REJECTED else -np.inf
     edge = [nm for nm, kind, v, (lo, hi) in zip(params, kinds, z, box)
             if kind != "box" and not lo < v < hi]
@@ -348,7 +392,11 @@ def _fit(data, model, loglik, theta0, compute_ses, diagnostics=None, **fixed):
         nm for nm, kind in sorted(params.items())
         if _KINDS[kind][2](result.estimates[nm]) < _BOUNDARY_GAP
     ]
+    interior = [nm not in result.boundary_flags and nm not in edge for nm in params]
     result.diagnostics["message"] = str(res.message)
+    result.diagnostics["passes"] = passes
+    # the score left at the end, in the optimizer's coordinates
+    result.diagnostics["score_max"] = float(np.max(np.abs(best["g"][interior]), initial=0.0))
     if edge:
         result.diagnostics["box_edge"] = edge
     if compute_ses:
@@ -380,7 +428,7 @@ def fit_mbw(
         eps = select_eps(data, min_pts)
     d_hat, c1 = estimate_d(data, DbscanParams(min_pts=min_pts, eps=eps))
 
-    loglik = _objective("m3", data, d_hat, copula_family, a, b)
+    objective = _objective("m3", data, d_hat, copula_family, a, b)
     p0 = np.clip(len(c1) / len(data), 1e-3, 1 - 1e-3)
     diagnostics = {
         "d_hat": d_hat,
@@ -391,7 +439,7 @@ def fit_mbw(
         "copula_a": a,
         "copula_b": b,
     }
-    return _fit(data, "m3", loglik, _start(data, "m3", p0), compute_ses, diagnostics, d=d_hat)
+    return _fit(data, "m3", objective, _start(data, "m3", p0), compute_ses, diagnostics, d=d_hat)
 
 
 def fit_m1(data) -> FitResult:
@@ -425,38 +473,24 @@ def _wald_p(est, se) -> float:
     return float(2.0 * ndtr(-abs(est / se)))
 
 
-def _num_hessian(fn, x0, steps):
-    n = len(x0)
-    H = np.empty((n, n))
-    f0 = fn(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        H[i, i] = (fn(x0 + ei) - 2 * f0 + fn(x0 - ei)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (
-                fn(x0 + ei + ej) - fn(x0 + ei - ej) - fn(x0 - ei + ej) + fn(x0 - ei - ej)
-            ) / (4 * steps[i] * steps[j])
-    return H
-
-
 def compute_se(data, result: FitResult) -> dict:
-    """Observed-information standard errors of an M2 or M3 fit from a
-    central-difference Hessian of the log-likelihood at the optimum, taken
-    over the parameters not in ``result.boundary_flags``. d (for the
-    mixture model) and the flagged parameters are held at their estimates,
-    and a flagged parameter gets NaN for its standard error and p-value:
-    at a boundary the Wald reference does not apply. M1's standard errors
-    are closed-form and set by ``fit_m1``.
+    """Observed-information standard errors of an M2 or M3 fit. The
+    Hessian of the log-likelihood at the optimum is the symmetrised
+    central difference of its analytic score, taken over the parameters
+    not in ``result.boundary_flags``: two score calls per parameter. d
+    (for the mixture model) and the flagged parameters are held at their
+    estimates, and a flagged parameter gets NaN for its standard error and
+    p-value: at a boundary the Wald reference does not apply. A probe the
+    objective rejects leaves the Hessian undefined, and every standard
+    error and p-value NaN. M1's standard errors are closed-form and set by
+    ``fit_m1``.
 
     Updates ``result.std_errors`` / ``result.p_values`` in place and
     returns the standard-error dict.
     """
     data = _as_data(data)
     get = result.diagnostics.get
-    loglik = _objective(
+    objective = _objective(
         result.model,
         data,
         result.estimates.get("d"),
@@ -468,22 +502,28 @@ def compute_se(data, result: FitResult) -> dict:
     theta = np.array([result.estimates[k] for k in names])
     free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
 
-    def loglik_free(theta_free):
+    def score(i, step):
         t = theta.copy()
-        t[free] = theta_free
-        return loglik(t)
+        t[i] += step
+        ll, g = objective(t)
+        return g[free] if ll > -np.inf else np.full(len(free), np.nan)
 
     steps = 1e-4 * np.maximum(np.abs(theta[free]), 1.0)
+    H = np.array([(score(i, h) - score(i, -h)) / (2 * h) for i, h in zip(free, steps)])
+    H = (H + H.T) / 2
     se = dict.fromkeys(names, float("nan"))
-    try:
-        cov = np.linalg.inv(-_num_hessian(loglik_free, theta[free], steps))
-        diag = np.diag(cov)
-        if np.any(diag <= 0):
-            raise np.linalg.LinAlgError("non-positive variance")
-        for i, v in zip(free, diag):
-            se[names[i]] = float(np.sqrt(v))
-    except np.linalg.LinAlgError:
-        result.diagnostics["hessian"] = "not positive definite"
+    if not np.all(np.isfinite(H)):
+        result.diagnostics["hessian"] = "rejected probe"
+    else:
+        try:
+            cov = np.linalg.inv(-H)
+            diag = np.diag(cov)
+            if np.any(diag <= 0):
+                raise np.linalg.LinAlgError("non-positive variance")
+            for i, v in zip(free, diag):
+                se[names[i]] = float(np.sqrt(v))
+        except np.linalg.LinAlgError:
+            result.diagnostics["hessian"] = "not positive definite"
     result.std_errors = se
     result.p_values = {nm: _wald_p(result.estimates[nm], se[nm]) for nm in names}
     return se

@@ -17,7 +17,7 @@ from mbweibull import (
     weibull_cdf,
     weibull_pdf,
 )
-from mbweibull.bivariate import _composed_pdf, _composed_survival
+from mbweibull.bivariate import _composed_pdf, _composed_survival, _log_density_score
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
 from mbweibull.mixture import (
     DEFAULT_PARAMS, mbw_hazard, mbw_params, mbw_pdf, mbw_survival, mixture_weight
@@ -270,3 +270,33 @@ class TestGfgmClosedFormProperty:
             closed = fn(x, y, m)
             composed = composed_fn(x, y, m)
             assert closed == pytest.approx(composed, rel=1e-8, abs=1e-12)
+
+
+class TestLogDensityScore:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        a1=st.floats(0.5, 5.0), b1=_scale, a2=st.floats(0.5, 5.0), b2=_scale,
+        a=_exponent, b=_exponent, rho=st.floats(-0.9, 0.9), gaussian=st.booleans(),
+        levels=st.lists(st.floats(1e-3, 0.999), min_size=4, max_size=4),
+    )
+    def test_score_is_the_gradient_of_the_log_density(self, a1, b1, a2, b2, a, b, rho,
+                                                      gaussian, levels):
+        # GFGM for any exponents a, b >= 1, and the Gaussian copula, at
+        # points between the margins' 0.001 and 0.999 quantiles
+        def model(theta):
+            c = GaussianCopulaParams(theta[4]) if gaussian else GfgmParams(theta[4], a, b)
+            return _model(*theta[:4], copula=c)
+
+        theta = np.array([a1, b1, a2, b2, rho])
+        q = np.array(levels)
+        x = b1 * (-np.log1p(-q)) ** (1 / a1)
+        y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
+        logf, S = _log_density_score(x, y, model(theta))
+        np.testing.assert_allclose(logf, np.log(bvw_pdf(x, y, model(theta))), rtol=1e-9, atol=1e-9)
+        for i in range(5):
+            step = np.zeros(5)
+            step[i] = 1e-6 * max(abs(theta[i]), 1.0)
+            fd = (_log_density_score(x, y, model(theta + step))[0]
+                  - _log_density_score(x, y, model(theta - step))[0]) / (2 * step[i])
+            tol = 1e-6 * max(np.abs(S[:, i]).max(), 1.0)
+            np.testing.assert_allclose(S[:, i], fd, rtol=0, atol=tol)

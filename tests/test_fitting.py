@@ -37,6 +37,7 @@ from mbweibull import (
     vannman_data,
 )
 from mbweibull import fitting
+from mbweibull.bivariate import _log_density_score
 from mbweibull.errors import ConvergenceError, DegenerateDataError, DomainError, SingularityError
 from mbweibull.fitting import _fit, _from_free, _objective, _ranks, _to_free
 from mbweibull.mixture import PARAM_NAMES, mbw_params
@@ -277,7 +278,7 @@ class TestFitM2:
         data[2:5, 1] = 0.0
         theta = np.array([b1, b2, rho])
         expect = _m2_loglik(data, theta)
-        assert _objective("m2", data)(theta) == pytest.approx(expect, rel=1e-12, abs=1e-10)
+        assert _objective("m2", data)(theta)[0] == pytest.approx(expect, rel=1e-12, abs=1e-10)
 
     def test_nesting_improves_fit(self):
         rng = np.random.default_rng(7)
@@ -315,7 +316,7 @@ class TestFitMbw:
         # jittered starting points land on the same optimum
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        loglik = _objective("m3", data, d_hat, "gfgm", 1.0, 1.0)
+        objective = _objective("m3", data, d_hat, "gfgm", 1.0, 1.0)
         kinds = list(fitting._MEMBERS["m3"][0].values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
@@ -324,7 +325,7 @@ class TestFitMbw:
         lls = []
         for _ in range(5):
             z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
-            res = _fit(data, "m3", loglik, _from_free(kinds, z0), compute_ses=False, d=d_hat)
+            res = _fit(data, "m3", objective, _from_free(kinds, z0), compute_ses=False, d=d_hat)
             lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
@@ -403,21 +404,24 @@ def _blas_threads_in_a_fit():
 
 
 class TestOptimizer:
-    """Stage 2 by L-BFGS-B in a box, restarted until a pass gains nothing:
-    as good as the Nelder-Mead fits it replaced, in fewer evaluations."""
+    """Stage 2 by L-BFGS-B on the analytic score in a box, restarted until
+    a pass gains nothing: as good as the Nelder-Mead fits it replaced, in
+    fewer evaluations."""
 
     def test_vannman_m3_reaches_the_nelder_mead_optimum(self):
-        # Nelder-Mead reached -70.2624151190 in 1214 evaluations
+        # Nelder-Mead reached -70.2624151190 in 1214 evaluations, and
+        # finite-difference gradients in 203
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
         assert res.loglik >= -70.2624151190 - 1e-9
-        assert res.n_evals <= 400
+        assert res.n_evals <= 60
         assert res.converged
 
     def test_vannman_m2_reaches_the_nelder_mead_optimum(self):
-        # Nelder-Mead reached -94.8955435785 in 377 evaluations
+        # Nelder-Mead reached -94.8955435785 in 377 evaluations, and
+        # finite-difference gradients in 36
         res = fit_m2(vannman_data())
         assert res.loglik >= -94.8955435785 - 1e-9
-        assert res.n_evals <= 150
+        assert res.n_evals <= 20
         assert res.converged
 
     def test_counts_sum_over_passes(self, monkeypatch):
@@ -436,6 +440,14 @@ class TestOptimizer:
         assert res.iterations == sum(r.nit for r in passes)
         assert passes[-2].fun - passes[-1].fun < fitting._GAIN
         assert res.diagnostics["message"] == str(passes[-1].message)
+        assert res.diagnostics["passes"] == len(passes)
+        # the score left at the end, over every parameter but the flagged rho
+        assert res.boundary_flags == ["rho"]
+        assert res.diagnostics["score_max"] == np.delete(np.abs(passes[-1].jac), 4).max()
+        assert res.diagnostics["score_max"] < 1e-4
+        payload = json.loads(json.dumps(res.to_dict()))
+        assert payload["diagnostics"]["passes"] == len(passes)
+        assert payload["diagnostics"]["score_max"] == res.diagnostics["score_max"]
 
     def test_converged_comes_from_the_restart_test(self, monkeypatch):
         # a last pass that scipy ends abnormally, at the optimum, still converges
@@ -460,20 +472,22 @@ class TestOptimizer:
         assert "p" in res.diagnostics["box_edge"]
 
     def test_spent_budget_is_not_converged(self, monkeypatch):
-        monkeypatch.setattr(fitting, "_MAX_EVALS", 40)
+        # the fit converges in 32 evaluations
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 10)
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
         assert not res.converged
-        assert res.n_evals >= 40
+        assert res.n_evals >= 10
 
     @pytest.mark.parametrize("n, eps", [(100, 0.45), (300, 0.25)])
     def test_criterion_5_replicates(self, n, eps):
-        # Nelder-Mead took 500-720 evaluations per replicate
+        # Nelder-Mead took 500-720 evaluations per replicate, and
+        # finite-difference gradients about 280
         truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
         for r in range(3):
             data = sample_mbw(n, truth, SeededStream(20260823, n * 1_000_000 + r))
             res = fit_mbw(data, copula_family="gaussian", eps=eps, compute_ses=False)
             assert res.converged
-            assert res.n_evals <= 350
+            assert res.n_evals <= 80
 
     @pytest.mark.parametrize("where", ["this process", "pool worker"])
     def test_fits_run_one_blas_thread(self, where):
@@ -498,10 +512,129 @@ class TestOptimizer:
         truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
         data = sample_mbw(100, truth, SeededStream(1))
         theta = (1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3)
-        loglik = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
-        assert loglik(np.array(theta)) == -np.inf
+        objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
+        assert objective(np.array(theta)) == (-np.inf, None)
         with pytest.raises(RuntimeWarning, match="overflow"):
             loglik_mbw(data, mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0))
+
+
+def _quantile_rows(rng, shapes, scales, n):
+    # rows at margin quantiles in [0.01, 0.99], so each A = (x/beta)^alpha
+    # stays below 4.6
+    u = rng.uniform(0.01, 0.99, (n, 2))
+    return np.asarray(scales) * (-np.log1p(-u)) ** (1 / np.asarray(shapes))
+
+
+class TestScore:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        # M3's copula: family, a, b; None stands for M2
+        copula=st.sampled_from(
+            [None, ("gfgm", 1.0, 1.0), ("gfgm", 2.0, 3.0), ("gaussian", 1.0, 1.0)]),
+        shapes=st.tuples(st.floats(0.7, 4.0), st.floats(0.7, 4.0)),
+        scales=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+        rho=st.floats(-0.9, 0.9),
+        p=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**16),
+    )
+    def test_score_is_the_gradient_of_the_objective(self, copula, shapes, scales, rho, p, seed):
+        # M2 counts rows with a zero coordinate; M3 has rows on its plateau
+        # and past its square
+        rng = np.random.default_rng(seed)
+        if copula is None:
+            data = _quantile_rows(rng, (1.0, 1.0), scales, 40)
+            data[:3, 0] = 0.0
+            data[2:5, 1] = 0.0
+            objective = _objective("m2", data)
+            theta = np.array([*scales, rho])
+        else:
+            data = _quantile_rows(rng, shapes, scales, 40)
+            d = 0.3 * min(scales)
+            data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
+            objective = _objective("m3", data, d, *copula)
+            theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
+        ll, score = objective(theta)
+        assert ll > -np.inf
+        fd = np.empty(len(theta))
+        for i in range(len(theta)):
+            step = np.zeros(len(theta))
+            step[i] = 1e-6 * max(abs(theta[i]), 1.0)
+            fd[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+        np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * max(np.abs(score).max(), 1.0))
+
+    def test_gaussian_score_in_both_tails(self):
+        # where 1 - e^-A rounds to 0 (A < 1e-12) or to 1 (A > 40), the
+        # normal score comes from the tail A lies in
+        m = BivariateWeibull(
+            WeibullParams(2.0, 1.0), WeibullParams(2.0, 1.0), GaussianCopulaParams(0.6))
+        A = np.array([1e-300, 1e-13, 0.5, 45.0, 200.0, 700.0])
+        logf, S = _log_density_score(np.sqrt(A), np.sqrt(A[::-1]), m)
+        assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S))
+        # the same rows in an M3 fit: a plateau row with A = 1e-13 and a row
+        # past the square with A = 45
+        rng = np.random.default_rng(2)
+        data = _quantile_rows(rng, (2.0, 2.0), (1.0, 1.0), 20)
+        data[0] = np.sqrt([1e-13, 1e-2])
+        data[1] = np.sqrt([45.0, 1.0])
+        ll, score = _objective("m3", data, 0.2, "gaussian", 1.0, 1.0)(
+            np.array([2.0, 1.0, 2.0, 1.0, 0.6, 0.3]))
+        assert np.isfinite(ll) and np.all(np.isfinite(score))
+
+
+def _counting_objective(monkeypatch, reject=None):
+    # every call of each objective that fitting._objective builds, and the
+    # call (from 1) at which to reject the point instead
+    calls = []
+    build = fitting._objective
+
+    def spy(*args):
+        objective = build(*args)
+
+        def counted(theta):
+            calls.append(theta)
+            return (-np.inf, None) if len(calls) == reject else objective(theta)
+
+        return counted
+
+    monkeypatch.setattr(fitting, "_objective", spy)
+    return calls
+
+
+def _vannman_fit(model):
+    data = vannman_data()
+    return fit_m2(data) if model == "m2" else fit_mbw(data, min_pts=4, eps=1.6)
+
+
+class TestStandardErrors:
+    @pytest.mark.parametrize("model, expect", [
+        ("m2", {"beta1": 0.46345956456633935, "beta2": 0.16458220865058704}),
+        ("m3", {"alpha1": 0.6491673096850429, "beta1": 0.6138004959849315,
+                "alpha2": 0.25907358380701545, "beta2": 0.628639297790273,
+                "p": 0.10161305356038954}),
+    ])
+    def test_vannman(self, model, expect):
+        # as the central-difference Hessian of the log-likelihood gave them
+        res = _vannman_fit(model)
+        for name, se in expect.items():
+            assert res.std_errors[name] == pytest.approx(se, rel=1e-5)
+
+    @pytest.mark.parametrize("model", ["m2", "m3"])
+    def test_two_score_calls_per_free_parameter(self, monkeypatch, model):
+        res = _vannman_fit(model)
+        calls = _counting_objective(monkeypatch)
+        compute_se(vannman_data(), res)
+        free = set(res.std_errors) - set(res.boundary_flags)
+        assert len(calls) == 2 * len(free)
+
+    def test_rejected_probe_voids_every_standard_error(self, monkeypatch):
+        # one rejected probe leaves a NaN in the Hessian, whose inverse
+        # can still have finite entries elsewhere on its diagonal
+        res = _vannman_fit("m3")
+        _counting_objective(monkeypatch, reject=3)
+        compute_se(vannman_data(), res)
+        assert res.diagnostics["hessian"] == "rejected probe"
+        assert all(math.isnan(se) for se in res.std_errors.values())
+        assert all(math.isnan(pv) for pv in res.p_values.values())
 
 
 def _vannman_board_21_x(value):
