@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, NoClusterError
 from .fitting import deviance_test, fit_m1, fit_m2, fit_mbw
-from .mixture import DEFAULT_PARAMS, PARAM_NAMES, hazard_grid, hazard_grid_csv, mbw_params
+from .mixture import DEFAULT_PARAMS, PARAM_NAMES, _csv, hazard_grid, hazard_grid_csv, mbw_params
 from .sampler import SeededStream, sample_mbw
 from .studies import StudyConfig, run_study
 from .vannman import VANNMAN_DATA
@@ -116,7 +116,8 @@ def _read_xy_csv(path) -> np.ndarray:
 def cmd_simulate(args) -> int:
     m = mbw_params(**_flags(args))
     pts = sample_mbw(args.n, m, SeededStream(seed=args.seed))
-    np.savetxt(args.out, pts, fmt="%.17g", delimiter=",", header="x,y", comments="")
+    with open(args.out, "w") as fh:
+        fh.write(_csv(pts, "x,y"))
     _write_manifest(args.out, args, seed=args.seed)
     return EXIT_OK
 

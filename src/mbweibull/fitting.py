@@ -26,7 +26,7 @@ import scipy
 from scipy import optimize
 from scipy.special import chdtrc, expit, logit, ndtr
 
-from .bivariate import BivariateWeibull, _gfgm_pdf, _log_density_score, bvw_pdf
+from .bivariate import BivariateWeibull, _log_density_score, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .copulas import GfgmParams
 from .errors import (
@@ -235,11 +235,10 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
 
         def value(b1, b2, rho):
             bulk = BivariateWeibull(WeibullParams(1.0, b1), WeibullParams(1.0, b2), GfgmParams(rho))
-            f = _gfgm_pdf(x, y, bulk)
-            if not np.all(f > 0):
-                return -np.inf, None
-            # M2 has no shape columns, which are -inf on a row with a zero
-            return np.sum(np.log(f)), _log_density_score(x, y, bulk)[1][:, [1, 3, 4]].sum(axis=0)
+            # one pass in log space, so a row whose density underflows still
+            # counts; M2 has no shape columns, which are -inf on a row with a zero
+            logf, S = _log_density_score(x, y, bulk)
+            return np.sum(logf), S[:, [1, 3, 4]].sum(axis=0)
     elif model == "m3":
         # the settings are valid when they make a model with some free values
         mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b)

@@ -1,7 +1,6 @@
 """The modified bivariate Weibull mixture: a rectangle-uniform early
 failure component mixed with a copula-based bivariate Weibull bulk."""
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +150,29 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
     return np.column_stack([gx, gy, f, R, _hazard(f, R)])
 
 
+def _csv(table: np.ndarray, header: str, axes: int = 0) -> str:
+    """``table``, one column per name in ``header``, as CSV text with every
+    value written as ``%.17g``: the bytes of ``np.savetxt(fmt="%.17g",
+    delimiter=",", header=header, comments="")``.
+
+    The first ``axes`` columns repeat few values, so each distinct value is
+    formatted once, told apart by its bits (-0.0 and 0.0 print differently);
+    the other columns are formatted by one ``%`` over the whole body.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim == 1:
+        table = table[:, None]  # one column, as savetxt reads it
+    n, k = table.shape
+    cells = table.ravel().tolist()
+    for j in range(axes):
+        bits, index = np.unique(table[:, j].view(np.int64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(float)], dtype=object)
+        cells[j::k] = text[index].tolist()
+    row = "%s," * axes + ",".join(["%.17g"] * (k - axes)) + "\n"
+    return header + "\n" + (row * n) % tuple(cells)
+
+
 def hazard_grid_csv(grid: np.ndarray) -> str:
-    """Serialize a hazard grid to CSV with full double precision."""
-    buf = io.StringIO()
-    np.savetxt(buf, grid, fmt="%.17g", delimiter=",", header="x,y,f,R,h", comments="")
-    return buf.getvalue()
+    """Serialize a hazard grid to CSV with full double precision: the bytes
+    ``np.savetxt`` writes with ``fmt="%.17g"`` under the header x,y,f,R,h."""
+    return _csv(grid, "x,y,f,R,h", axes=2)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from mbweibull import cli, fitting, studies
 from mbweibull.cli import EXIT_CONVERGENCE, EXIT_INVALID, EXIT_OK, main
 from mbweibull.mixture import DEFAULT_PARAMS, mbw_params
+from mbweibull.sampler import SeededStream, sample_mbw
 from mbweibull.studies import StudyConfig
 from mbweibull.vannman import VANNMAN_DATA, vannman_data
 
@@ -32,6 +34,14 @@ class TestSimulate:
         lines = first.decode().strip().split("\n")
         assert lines[0] == "x,y"
         assert len(lines) == 6
+
+    def test_bytes_equal_savetxt(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n", "50", "--seed", "9", "--out", str(out)]) == EXIT_OK
+        pts = sample_mbw(50, mbw_params(**DEFAULT_PARAMS), SeededStream(seed=9))
+        buf = io.StringIO()
+        np.savetxt(buf, pts, fmt="%.17g", delimiter=",", header="x,y", comments="")
+        assert _read(out).decode() == buf.getvalue()
 
     def test_zero_rows(self, tmp_path):
         out = tmp_path / "empty.csv"

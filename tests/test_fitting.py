@@ -268,10 +268,9 @@ class TestFitM2:
         seed=st.integers(0, 2**16),
     )
     def test_objective_equals_hand_written_likelihood(self, b1, b2, rho, seed):
-        # M2's objective, on the GFGM closed form, counts every row,
-        # including the rows with a zero on either axis. The densities stay
-        # above the normal range's floor: below it the two products of the
-        # same terms round to different subnormals
+        # M2's objective counts every row, including the rows with a zero on
+        # either axis. The densities stay above the normal range's floor,
+        # where the hand-written product, in linear space, keeps its digits
         rng = np.random.default_rng(seed)
         data = rng.exponential(rng.uniform(0.2, 2.0), (30, 2))
         data[:3, 0] = 0.0
@@ -279,6 +278,20 @@ class TestFitM2:
         theta = np.array([b1, b2, rho])
         expect = _m2_loglik(data, theta)
         assert _objective("m2", data)(theta)[0] == pytest.approx(expect, rel=1e-12, abs=1e-10)
+
+    def test_underflowing_density_still_counts(self):
+        # at beta2 = 0.05 on data of mean 10 some rows' densities fall below
+        # 5e-324; the objective sums log f in log space and stays finite
+        rng = np.random.default_rng(3)
+        data = rng.exponential(10.0, (200, 2))
+        b1, b2, rho = 1.5, 0.05, 0.25
+        A, B = data[:, 0] / b1, data[:, 1] / b2
+        logf = -np.log(b1 * b2) - A - B + np.log1p(rho * (2 * np.exp(-A) - 1) * (2 * np.exp(-B) - 1))
+        assert np.any(np.exp(logf) == 0)
+        ll, score = _objective("m2", data)(np.array([b1, b2, rho]))
+        assert ll == pytest.approx(np.sum(logf), rel=1e-12)
+        assert ll == pytest.approx(-43579.96860956549, rel=1e-12)
+        assert np.all(np.isfinite(score))
 
     def test_nesting_improves_fit(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,9 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mbweibull import (
     BivariateWeibull,
@@ -20,7 +24,9 @@ from mbweibull import (
     rect_survival,
 )
 from mbweibull.errors import DomainError
-from mbweibull.mixture import DEFAULT_PARAMS, hazard_grid, hazard_grid_csv, mbw_params, param_dict
+from mbweibull.mixture import (
+    DEFAULT_PARAMS, _csv, hazard_grid, hazard_grid_csv, mbw_params, param_dict
+)
 
 
 def _mix(p=0.3, d=0.1, a1=4.0, b1=1.5, a2=3.5, b2=5.0, rho=0.6, x0=0.0, y0=0.0):
@@ -228,17 +234,69 @@ class TestHazardGrid:
         grid = hazard_grid(m, 0.3, 0.3, 0.2, 0.2, 0.5)
         assert grid.shape == (1, 5)
 
-    def test_csv_format(self):
-        m = _mix(d=0.5)
-        text = hazard_grid_csv(hazard_grid(m, 0.1, 0.2, 0.1, 0.2, 0.1))
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,y,f,R,h"
-        assert len(lines) == 5
-        assert all(len(line.split(",")) == 5 for line in lines[1:])
-
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             hazard_grid(_mix(), 1.0, 0.0, 0.0, 1.0, 0.1)
+
+
+def _savetxt(table, header):
+    # the writer's oracle: numpy's own %.17g CSV
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue()
+
+
+_INF = float("inf")
+_NAN = float("nan")
+# values whose text tells a wrong writer apart: the signed zeros, which are
+# equal as floats and print differently, the infinities, NaN, the extremes
+# of the range and integral floats, which print without a point
+_EDGES = [0.0, -0.0, _INF, -_INF, _NAN, 5e-324, -5e-324, 1e308, -1e308, 1.0, 3.0, -2.0, 0.1]
+_VALUE = st.sampled_from(_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+# axis columns draw from a few values, so that each one repeats
+_AXIS = st.sampled_from(_EDGES[:8] + [0.25, 1e-300])
+
+
+class TestCsv:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(rows=st.lists(st.tuples(_AXIS, _AXIS, _VALUE, _VALUE, _VALUE), min_size=1, max_size=40))
+    @example(rows=[(0.0, -0.0, _INF, -_INF, _NAN), (-0.0, 0.0, 5e-324, 1e308, 3.0)])
+    @example(rows=[(0.0, 0.0, 0.0, 1.0, 0.0)])
+    def test_grid_bytes_equal_savetxt(self, rows):
+        table = np.array(rows, dtype=float)
+        assert hazard_grid_csv(table) == _savetxt(table, "x,y,f,R,h")
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(rows=st.lists(st.tuples(_VALUE, _VALUE), min_size=0, max_size=40))
+    @example(rows=[(0.0, -0.0), (-0.0, 0.0), (_INF, _NAN)])
+    def test_two_columns_equal_savetxt(self, rows):
+        # the writer of mbw simulate, which formats every value in one pass
+        table = np.array(rows, dtype=float).reshape(-1, 2)
+        assert _csv(table, "x,y") == _savetxt(table, "x,y")
+
+    @pytest.mark.parametrize("values", [[], [-0.0, 0.0, _NAN], [1.0, 1.0, -2.5]])
+    def test_one_dimensional_input(self, values):
+        # savetxt writes a 1-D array as one column
+        table = np.array(values, dtype=float)
+        assert _csv(table, "x") == _savetxt(table, "x")
+
+    def test_empty_grid(self):
+        assert hazard_grid_csv(np.empty((0, 5))) == "x,y,f,R,h\n" == _savetxt(np.empty((0, 5)), "x,y,f,R,h")
+
+    @pytest.mark.parametrize("copula", ["gfgm", "gaussian"])
+    def test_criterion_7_grid(self, copula):
+        # the grid mbw hazard-grid writes in acceptance criterion 7
+        m = mbw_params(**dict(DEFAULT_PARAMS, copula=copula, d=0.4, p=0.3))
+        grid = hazard_grid(m, 0.05, 0.75, 0.05, 0.75, 0.1)
+        assert hazard_grid_csv(grid) == _savetxt(grid, "x,y,f,R,h")
+
+    def test_benchmark_grid(self):
+        # the benchmark's 159,201-node Gaussian grid: 399 x values and 399 y
+        # values, each repeated 399 times
+        m = mbw_params(**dict(DEFAULT_PARAMS, copula="gaussian"))
+        grid = hazard_grid(m, 0.01, 2.0, 0.01, 2.0, 0.005)
+        assert grid.shape == (159_201, 5)
+        assert hazard_grid_csv(grid) == _savetxt(grid, "x,y,f,R,h")
 
 
 class TestCodec:
