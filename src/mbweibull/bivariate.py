@@ -130,7 +130,10 @@ def _gaussian_z(A):
     """The normal score z = ndtri(1 - e^-A) of a margin and A dz/dA, each
     taken from the tail A lies in, so that neither rounds to 0 or 1 first.
     A dz/dA = A e^-A / phi(z) is formed in log space."""
-    z = np.where(A < np.log(2.0), ndtri(-np.expm1(-A)), -ndtri(np.exp(-A)))
+    # one ndtri per row: of the lower tail's 1 - e^-A or the upper tail's e^-A
+    lower = A < np.log(2.0)
+    z = ndtri(np.where(lower, -np.expm1(-A), np.exp(-A)))
+    z = np.where(lower, z, -z)
     return z, np.exp(np.log(A) - A + 0.5 * z * z + 0.5 * np.log(2 * np.pi))
 
 

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 from scipy import optimize
+from scipy.special import beta as beta_fn
 from scipy.special import chdtrc, expit, logit, ndtr
 
 from .bivariate import BivariateWeibull, _log_density_score, bvw_pdf
@@ -275,9 +276,49 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
     return objective
 
 
-def _start(data, model, p=None) -> np.ndarray:
-    """Optimizer start: shapes 1.5, scales at the margin means, rho at the
-    Spearman rank correlation, and p as given."""
+def _weibull_plot(t) -> tuple:
+    """Shape and scale of a Weibull plot of the positive sample ``t``: the
+    least-squares line of log(-log(1 - F)) on log t, with the median ranks
+    F = (i - 0.3)/(n + 0.4). Its slope is the shape, clipped to [0.2, 20],
+    and it crosses 0 at the log of the scale. Needs two distinct values."""
+    t = np.log(np.sort(t))
+    F = (np.arange(1, len(t) + 1) - 0.3) / (len(t) + 0.4)
+    h = np.log(-np.log1p(-F))
+    dt = t - t.mean()
+    slope = dt @ h / (dt @ dt)
+    scale = np.exp(t.mean() - h.mean() / slope)
+    return float(np.clip(slope, 0.2, 20.0)), float(scale)
+
+
+def _rho_from_spearman(rho_s, family, a, b) -> float:
+    """The copula parameter with Spearman's rho ``rho_s``: 2 sin(pi rho_s/6)
+    for the Gaussian copula, and rho_s / (12 B(b+1, a+1)^2) for GFGM(a, b),
+    3 rho_s for FGM; clipped to [-0.95, 0.95]."""
+    if family == "gaussian":
+        rho = 2.0 * np.sin(np.pi * rho_s / 6.0)
+    else:
+        rho = rho_s / (12.0 * beta_fn(b + 1.0, a + 1.0) ** 2)
+    return float(np.clip(rho, -0.95, 0.95))
+
+
+def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarray:
+    """Optimizer start, with p as given.
+
+    The plain start has shapes 1.5, scales at the margin means of all rows
+    and rho at their Spearman rank correlation; M2 starts there. M3 starts
+    from the rows past the square of side ``d``, which stage 1 leaves to
+    the bivariate Weibull bulk: each margin's shape and scale from a
+    Weibull plot of its positive values there (``_weibull_plot``), and rho
+    from their Spearman rank correlation mapped through the copula
+    (``_rho_from_spearman``). Where a margin has fewer than two distinct
+    positive values past the square, M3 takes the plain start.
+
+    Where the likelihood has more than one maximum, the start picks the
+    one the search reaches. On Vannman bootstrap resamples with most rows
+    in the origin cluster, the search from here reaches an interior
+    maximum (p about 0.3 to 0.5), mostly the lower one, where from the
+    plain start it reached p near 0.
+    """
     x, y = data[:, 0], data[:, 1]
     guess = {
         "alpha1": 1.5,
@@ -287,6 +328,14 @@ def _start(data, model, p=None) -> np.ndarray:
         "rho": float(np.clip(_spearman(x, y), -0.95, 0.95)),
         "p": p,
     }
+    if model == "m3":
+        past = (x > d) | (y > d)
+        xp, yp = x[past], y[past]
+        margins = [t[t > 0] for t in (xp, yp)]
+        if all(len(np.unique(t)) >= 2 for t in margins):
+            (a1, b1), (a2, b2) = map(_weibull_plot, margins)
+            rho = _rho_from_spearman(_spearman(xp, yp), family, a, b)
+            guess.update(alpha1=a1, beta1=b1, alpha2=a2, beta2=b2, rho=rho)
     return np.array([guess[nm] for nm in _MEMBERS[model][0]])
 
 
@@ -338,8 +387,9 @@ def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed)
 
     shape = np.isin(list(params), ("alpha1", "alpha2"))
     if shape.any() and objective(theta0)[0] == -np.inf:
-        # shape start of 1.5 can be rejected only in pathological data;
-        # retry from shapes just above 1
+        # a start's shapes can be rejected only in pathological data, such
+        # as a far outlier whose density underflows; retry from shapes just
+        # above 1
         theta0 = np.where(shape, 1.05, theta0)
     z = _to_free(kinds, theta0)
     # the best point evaluated, with its value and gradient. Each pass
@@ -438,7 +488,8 @@ def fit_mbw(
         "copula_a": a,
         "copula_b": b,
     }
-    return _fit(data, "m3", objective, _start(data, "m3", p0), compute_ses, diagnostics, d=d_hat)
+    theta0 = _start(data, "m3", p0, d_hat, copula_family, a, b)
+    return _fit(data, "m3", objective, theta0, compute_ses, diagnostics, d=d_hat)
 
 
 def fit_m1(data) -> FitResult:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from mbweibull import (
     BivariateWeibull,
@@ -17,7 +18,12 @@ from mbweibull import (
     weibull_cdf,
     weibull_pdf,
 )
-from mbweibull.bivariate import _composed_pdf, _composed_survival, _log_density_score
+from mbweibull.bivariate import (
+    _composed_pdf,
+    _composed_survival,
+    _gaussian_z,
+    _log_density_score,
+)
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
 from mbweibull.mixture import (
     DEFAULT_PARAMS, mbw_hazard, mbw_params, mbw_pdf, mbw_survival, mixture_weight
@@ -300,3 +306,18 @@ class TestLogDensityScore:
                   - _log_density_score(x, y, model(theta - step))[0]) / (2 * step[i])
             tol = 1e-6 * max(np.abs(S[:, i]).max(), 1.0)
             np.testing.assert_allclose(S[:, i], fd, rtol=0, atol=tol)
+
+    def test_gaussian_z_takes_one_ndtri_per_row(self):
+        # bit for bit the two-branch form, which took ndtri of both tails
+        log2 = np.log(2.0)
+        A = np.concatenate([
+            np.exp(np.linspace(-40.0, 6.0, 200_000)),
+            [log2, np.nextafter(log2, 0.0), np.nextafter(log2, np.inf),
+             1e-300, 700.0, 745.0, 746.0],
+        ])
+        with np.errstate(all="ignore"):
+            z_two = np.where(A < log2, ndtri(-np.expm1(-A)), -ndtri(np.exp(-A)))
+            k_two = np.exp(np.log(A) - A + 0.5 * z_two * z_two + 0.5 * np.log(2 * np.pi))
+            z, k = _gaussian_z(A)
+        assert np.array_equal(z.view(np.int64), z_two.view(np.int64))
+        assert np.array_equal(k.view(np.int64), k_two.view(np.int64))

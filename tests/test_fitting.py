@@ -39,7 +39,18 @@ from mbweibull import (
 from mbweibull import fitting
 from mbweibull.bivariate import _log_density_score
 from mbweibull.errors import ConvergenceError, DegenerateDataError, DomainError, SingularityError
-from mbweibull.fitting import _fit, _from_free, _objective, _ranks, _to_free
+from mbweibull.copulas import copula_cdf
+from mbweibull.fitting import (
+    _fit,
+    _from_free,
+    _objective,
+    _ranks,
+    _rho_from_spearman,
+    _spearman,
+    _start,
+    _to_free,
+    _weibull_plot,
+)
 from mbweibull.mixture import PARAM_NAMES, mbw_params
 
 
@@ -369,8 +380,9 @@ class TestFitMbw:
             fit_mbw(np.random.default_rng(0).random((5, 2)))
 
     def test_start_retry_from_shapes_near_one(self, monkeypatch):
-        # x = 150 sits ~95 margin means out: at the start's shapes of 1.5 its
-        # density underflows to 0, so the fit restarts from shapes 1.05
+        # x = 150 sits ~95 margin means out: at the start's shapes, about 1.6
+        # and 1.8, its density underflows to 0, so the fit restarts from
+        # shapes 1.05 with the start's scales and rho
         rng = np.random.default_rng(3)
         data = np.column_stack([rng.weibull(2.0, 200), rng.weibull(2.0, 200)])
         data[:30] = rng.uniform(0, 0.05, (30, 2))
@@ -384,8 +396,10 @@ class TestFitMbw:
 
         monkeypatch.setattr(fitting, "loglik_mbw", spy)
         res = fit_mbw(data, eps=0.05)
-        assert calls[0] == pytest.approx((1.5, 1.5, -np.inf))
-        assert calls[1] == pytest.approx((1.05, 1.05, -348.98), abs=0.01)
+        d_hat, c1 = estimate_d(data, DbscanParams(4, 0.05))
+        start = _start(data, "m3", len(c1) / len(data), d_hat)
+        assert calls[0] == pytest.approx((start[0], start[2], -np.inf))
+        assert calls[1] == pytest.approx((1.05, 1.05, -361.81), abs=0.01)
         assert res.converged
         assert res.loglik == pytest.approx(-250.81, abs=0.01)
 
@@ -395,6 +409,58 @@ class TestFitMbw:
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
+
+
+class TestStart:
+    """M3's start from the rows past the square: Weibull-plot margins and
+    rho from their rank correlation, or the plain start where a margin
+    has too few values there."""
+
+    def test_weibull_plot_recovers_shape_and_scale(self):
+        t = 1.5 * np.random.default_rng(11).weibull(4.0, 2000)
+        shape, scale = _weibull_plot(t)
+        assert shape == pytest.approx(4.0, rel=0.1)
+        assert scale == pytest.approx(1.5, rel=0.1)
+
+    def test_rho_from_spearman(self):
+        for rs in (-0.5, 0.0, 0.1, 0.3):
+            assert _rho_from_spearman(rs, "gaussian", 1.0, 1.0) == pytest.approx(
+                2 * np.sin(np.pi * rs / 6))
+            assert _rho_from_spearman(rs, "gfgm", 1.0, 1.0) == pytest.approx(
+                np.clip(3 * rs, -0.95, 0.95))
+        # GFGM(2, 3): Spearman's rho 12 int int (C - uv) du dv, by 10-node
+        # Gauss-Legendre, exact on C's polynomial
+        c = GfgmParams(0.5, 2.0, 3.0)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        u, w = (nodes + 1) / 2, weights / 2
+        U, V = np.meshgrid(u, u)
+        rs = 12 * w @ (copula_cdf(U, V, c) - U * V) @ w
+        assert _rho_from_spearman(rs, "gfgm", 2.0, 3.0) == pytest.approx(0.5, rel=1e-12)
+
+    def test_m3_start_from_the_rows_past_the_square(self):
+        data = vannman_data()
+        x, y = data[:, 0], data[:, 1]
+        past = (x > 1.4) | (y > 1.4)
+        a1, b1, a2, b2, rho, p = _start(data, "m3", 0.25, 1.4, "gfgm", 1.0, 1.0)
+        assert (a1, b1) == _weibull_plot(x[past & (x > 0)])
+        assert (a2, b2) == _weibull_plot(y[past & (y > 0)])
+        assert rho == _rho_from_spearman(_spearman(x[past], y[past]), "gfgm", 1.0, 1.0)
+        assert p == 0.25
+
+    @pytest.mark.parametrize("x", [np.full(20, 2.0), np.zeros(20)],
+                             ids=["one distinct value", "on an axis"])
+    def test_too_few_values_past_the_square_fall_back(self, x):
+        # 20 rows in an origin cluster of side about 0.1 and 20 past it with
+        # first coordinates x; warnings are errors in this suite
+        rng = np.random.default_rng(5)
+        origin = rng.uniform(0, 0.1, (20, 2))
+        data = np.vstack([origin, np.column_stack([x, 1.0 + rng.weibull(2.0, 20)])])
+        d_hat, c1 = estimate_d(data, DbscanParams(4, 0.1))
+        assert len(c1) == 20
+        plain = [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(),
+               np.clip(_spearman(data[:, 0], data[:, 1]), -0.95, 0.95), 0.5]
+        assert _start(data, "m3", 0.5, d_hat, "gfgm", 1.0, 1.0) == pytest.approx(plain)
+        assert fit_mbw(data, eps=0.1).model == "m3"
 
 
 def _blas_threads_in_a_fit():
@@ -426,7 +492,7 @@ class TestOptimizer:
         # finite-difference gradients in 203
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
         assert res.loglik >= -70.2624151190 - 1e-9
-        assert res.n_evals <= 60
+        assert res.n_evals <= 35
         assert res.converged
 
     def test_vannman_m2_reaches_the_nelder_mead_optimum(self):
@@ -485,7 +551,7 @@ class TestOptimizer:
         assert "p" in res.diagnostics["box_edge"]
 
     def test_spent_budget_is_not_converged(self, monkeypatch):
-        # the fit converges in 32 evaluations
+        # the fit converges in 24 evaluations
         monkeypatch.setattr(fitting, "_MAX_EVALS", 10)
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
         assert not res.converged
@@ -493,14 +559,14 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("n, eps", [(100, 0.45), (300, 0.25)])
     def test_criterion_5_replicates(self, n, eps):
-        # Nelder-Mead took 500-720 evaluations per replicate, and
-        # finite-difference gradients about 280
+        # Nelder-Mead took 500-720 evaluations per replicate, finite-difference
+        # gradients about 280, and the analytic score from the plain start about 36
         truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
         for r in range(3):
             data = sample_mbw(n, truth, SeededStream(20260823, n * 1_000_000 + r))
             res = fit_mbw(data, copula_family="gaussian", eps=eps, compute_ses=False)
             assert res.converged
-            assert res.n_evals <= 80
+            assert res.n_evals <= 45
 
     @pytest.mark.parametrize("where", ["this process", "pool worker"])
     def test_fits_run_one_blas_thread(self, where):
