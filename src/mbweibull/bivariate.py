@@ -1,14 +1,15 @@
-"""Copula-composed bivariate Weibull distribution: joint CDF, PDF,
-survival, and hazard, with closed forms for the GFGM family."""
+"""Copula-composed bivariate Weibull distribution: joint CDF, PDF (one
+log-space formula), survival (closed form for GFGM), and hazard."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, xlogy
+from scipy.special import ndtri
 
 from .copulas import (
     CopulaSpec,
     GfgmParams,
+    _gaussian_log_c,
     copula_cdf,
     copula_density,
 )
@@ -37,12 +38,6 @@ def _exponents(x, y, m: BivariateWeibull):
     return A, B, A + B
 
 
-def _tilt(S, c: GfgmParams):
-    """The GFGM factor exp(-(a-1)(A+B)); exactly 1 for a = 1, also where
-    A+B is infinite and (a-1)(A+B) would be 0 * inf."""
-    return np.exp(-(c.a - 1) * S) if c.a != 1 else 1.0
-
-
 def _over_survival(num, R):
     """num/R for a survival R that is positive in theory: raises
     SurvivalUnderflowError where R underflowed to zero, not returning inf."""
@@ -58,24 +53,6 @@ def bvw_cdf(x, y, m: BivariateWeibull):
     return copula_cdf(weibull_cdf(x, m.margin1), weibull_cdf(y, m.margin2), m.copula)
 
 
-def _gfgm_pdf(x, y, m: BivariateWeibull):
-    # closed form: marginal product times the grouped GFGM density factor
-    c = m.copula
-    a1, b1 = m.margin1.shape, m.margin1.scale
-    a2, b2 = m.margin2.shape, m.margin2.scale
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A, B, S = _exponents(x, y, m)
-        eS = np.exp(-S)
-        base = (a1 * a2 / (b1 * b2)) * A ** (1 - 1 / a1) * B ** (1 - 1 / a2) * eS
-    # where exp(-(A+B)) underflows the density is 0, also where a power above
-    # overflowed and the product is inf * 0
-    base = np.where(eS == 0, 0.0, base)
-    eA = np.exp(-A)
-    eB = np.exp(-B)
-    D = _tilt(S, c) * ((c.a + c.b) * eA - c.a) * ((c.a + c.b) * eB - c.a)
-    return base * (1 + c.rho * (1 - eA) ** (c.b - 1) * (1 - eB) ** (c.b - 1) * D)
-
-
 def _gfgm_survival(x, y, m: BivariateWeibull):
     # closed form of 1 - F1 - F2 + C(F1, F2) for a GFGM copula
     c = m.copula
@@ -83,20 +60,18 @@ def _gfgm_survival(x, y, m: BivariateWeibull):
         A, B, S = _exponents(x, y, m)
     eA = np.exp(-A)
     eB = np.exp(-B)
-    return np.exp(-S) * (1 + c.rho * _tilt(S, c) * (1 - eA) ** c.b * (1 - eB) ** c.b)
+    # exp(-(a-1)(A+B)) is exactly 1 for a = 1, also where A+B is infinite
+    # and (a-1)(A+B) would be 0 * inf
+    tilt = np.exp(-(c.a - 1) * S) if c.a != 1 else 1.0
+    return np.exp(-S) * (1 + c.rho * tilt * (1 - eA) ** c.b * (1 - eB) ** c.b)
 
 
-# The compositions of the margins with the copula: the path of every copula
-# without a closed form, and for GFGM the test oracle of the closed forms.
+# The compositions of the margins with the copula: the test oracle of
+# bvw_pdf for both copulas, the Gaussian copula's survival, and the test
+# oracle of the GFGM closed-form survival.
 def _composed_pdf(x, y, m: BivariateWeibull):
     u = weibull_cdf(x, m.margin1)
     v = weibull_cdf(y, m.margin2)
-    if not isinstance(m.copula, GfgmParams):
-        # the Gaussian copula density blows up only at u,v in {0,1}; clip
-        # marginal probabilities into the open square
-        tiny = np.finfo(float).tiny
-        u = np.clip(u, tiny, 1 - 1e-16)
-        v = np.clip(v, tiny, 1 - 1e-16)
     return weibull_pdf(x, m.margin1) * weibull_pdf(y, m.margin2) * copula_density(u, v, m.copula)
 
 
@@ -115,21 +90,28 @@ def _gfgm_factor(A, c: GfgmParams):
     GFGM density 1 + rho g(A) g(B), with u = 1 - e^-A, and A g'(A)."""
     a, b = c.a, c.b
     e = np.exp(-A)
-    w = -np.expm1(-A)
-    t = np.exp(-(a - 1) * A) if a != 1 else 1.0
-    h = (a + b) * e - a
-    wb = w ** (b - 1)
-    # dg/dA, from dw/dA = e, dt/dA = -(a-1) t and dh/dA = -(a+b) e
-    dg = -(a - 1) * wb * h - (a + b) * wb * e
+    # h = b(1-u) - au, kept at most b so that |g| <= 1 holds in rounding
+    # too; (a+b)e - a rounds above b near A = 0
+    h = np.minimum((a + b) * e - a, b)
+    # g = u^(b-1) t h with t = (1-u)^(a-1), factors that are 1 at b = 1 and
+    # a = 1; dh/dA = -(a+b) e, dt/dA = -(a-1) t and du/dA = e
+    g, dg = h, -(a + b) * e
+    if a != 1:
+        t = np.exp(-(a - 1) * A)
+        g, dg = t * h, t * (dg - (a - 1) * h)
     if b != 1:
-        dg = dg + (b - 1) * w ** (b - 2) * e * h
-    return wb * t * h, A * t * dg
+        w = -np.expm1(-A)
+        wb = w ** (b - 1)
+        g, dg = wb * g, wb * dg + (b - 1) * w ** (b - 2) * e * g
+    return g, A * dg
 
 
 def _gaussian_z(A):
     """The normal score z = ndtri(1 - e^-A) of a margin and A dz/dA, each
     taken from the tail A lies in, so that neither rounds to 0 or 1 first.
-    A dz/dA = A e^-A / phi(z) is formed in log space."""
+    A dz/dA = A e^-A / phi(z) is formed in log space. A margin probability
+    of exactly 0 counts as the smallest normal float."""
+    A = np.maximum(A, np.finfo(float).tiny)
     # one ndtri per row: of the lower tail's 1 - e^-A or the upper tail's e^-A
     lower = A < np.log(2.0)
     z = ndtri(np.where(lower, -np.expm1(-A), np.exp(-A)))
@@ -137,50 +119,61 @@ def _gaussian_z(A):
     return z, np.exp(np.log(A) - A + 0.5 * z * z + 0.5 * np.log(2 * np.pi))
 
 
+def _log_density(x, y, m: BivariateWeibull):
+    """log f of the bivariate Weibull, -inf where A + B or a normal score is
+    infinite, and per margin the pieces of its score: E = (t/beta)^alpha,
+    L = log(t/beta) and the copula term with E times its E-derivative,
+    (g, E g') from _gfgm_factor or (z, E z') from _gaussian_z. The caller
+    silences the warnings."""
+    c = m.copula
+    A, B, S = _exponents(x, y, m)
+    gfgm = isinstance(c, GfgmParams)
+    (gA, kA), (gB, kB) = (_gfgm_factor(E, c) if gfgm else _gaussian_z(E) for E in (A, B))
+    logf = np.log(1 + c.rho * gA * gB) if gfgm else _gaussian_log_c(gA, gB, c.rho)
+    parts = []
+    for t, E, g, k, p in ((x, A, gA, kA, m.margin1), (y, B, gB, kB, m.margin2)):
+        # log f_i = log(alpha/beta) + (alpha-1) L - E, whose middle term is 0
+        # at alpha = 1, also where t = 0 and L = -inf
+        L = np.log(t / p.scale)
+        logf = logf + (np.log(p.shape / p.scale) + ((p.shape - 1) * L if p.shape != 1 else 0) - E)
+        parts.append((E, L, g, k))
+    # -inf, not inf - inf; a GFGM factor is always finite
+    return np.where(np.isinf(S + gA + gB), -np.inf, logf), parts
+
+
 def _log_density_score(x, y, m: BivariateWeibull):
     """log f of the bivariate Weibull and, row by row, its gradient over
-    (alpha1, beta1, alpha2, beta2, rho): the score of the bulk density.
+    (alpha1, beta1, alpha2, beta2, rho): the score of the bulk density,
+    built on the pieces of _log_density.
 
-    Rows are assumed valid: where the density vanishes the values are
-    -inf or NaN, and no warning is raised.
+    Rows are assumed valid: where the density vanishes the score may be
+    NaN. No warning is raised.
     """
     c = m.copula
-    n = np.size(x)
-    S = np.empty((n, 5))
-    logf = np.zeros(n)
+    S = np.empty((np.size(x), 5))
     with np.errstate(all="ignore"):
-        A, B, _ = _exponents(x, y, m)
+        logf, ((A, LA, gA, kA), (B, LB, gB, kB)) = _log_density(x, y, m)
         # A dlog c/dA and B dlog c/dB, and dlog c/drho
         if isinstance(c, GfgmParams):
-            gA, kA = _gfgm_factor(A, c)
-            gB, kB = _gfgm_factor(B, c)
             den = 1 + c.rho * gA * gB
-            logf += np.log(den)
             kA, kB = c.rho * kA * gB / den, c.rho * kB * gA / den
             S[:, 4] = gA * gB / den
         else:
             rho = c.rho
             D = 1 - rho * rho
-            z1, k1 = _gaussian_z(A)
-            z2, k2 = _gaussian_z(B)
-            Q = rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2
-            logf += -Q / (2 * D) - 0.5 * np.log(D)
-            kA = rho * (z2 - rho * z1) / D * k1
-            kB = rho * (z1 - rho * z2) / D * k2
-            S[:, 4] = rho / D + (z1 * z2 * (1 + rho * rho) - rho * (z1 * z1 + z2 * z2)) / D**2
-        for i, (t, E, k, p) in enumerate(((x, A, kA, m.margin1), (y, B, kB, m.margin2))):
-            # log f_i = log(alpha/beta) + (alpha-1) log(t/beta) - E, with
+            kA = rho * (gB - rho * gA) / D * kA
+            kB = rho * (gA - rho * gB) / D * kB
+            S[:, 4] = rho / D + (gA * gB * (1 + rho * rho) - rho * (gA * gA + gB * gB)) / D**2
+        for i, (E, L, k, p) in enumerate(((A, LA, kA, m.margin1), (B, LB, kB, m.margin2))):
             # dE/dalpha = E log(t/beta) and dE/dbeta = -(alpha/beta) E
-            L = np.log(t / p.scale)
-            logf += np.log(p.shape / p.scale) + xlogy(p.shape - 1, t / p.scale) - E
             S[:, 2 * i] = 1 / p.shape + L * (1 - E) + k * L
             S[:, 2 * i + 1] = p.shape / p.scale * (E - 1 - k)
     return logf, S
 
 
 def bvw_pdf(x, y, m: BivariateWeibull):
-    """Joint density f1(x) f2(y) c(F1(x), F2(y)), in closed form for a GFGM
-    copula."""
+    """Joint density f1(x) f2(y) c(F1(x), F2(y)), taken as exp of its log
+    for both copulas."""
     x, y = _arrays(x, y)
     _check_nonneg(x, y)
     if (m.margin1.shape < 1 and np.any(x == 0)) or (
@@ -189,8 +182,8 @@ def bvw_pdf(x, y, m: BivariateWeibull):
         raise SingularityError(
             "joint density is unbounded at a zero coordinate with shape < 1"
         )
-    gfgm = isinstance(m.copula, GfgmParams)
-    return _out((_gfgm_pdf if gfgm else _composed_pdf)(x, y, m))
+    with np.errstate(all="ignore"):
+        return _out(np.exp(_log_density(x, y, m)[0]))
 
 
 def bvw_survival(x, y, m: BivariateWeibull):

@@ -192,12 +192,13 @@ def copula_density(u, v, c: CopulaSpec):
         return _out(_gfgm_density(u, v, c))
     if np.any((u <= 0) | (u >= 1) | (v <= 0) | (v >= 1)):
         raise DomainError("Gaussian copula density requires (u,v) in (0,1)^2")
-    z1 = ndtri(u)
-    z2 = ndtri(v)
-    rho = c.rho
-    one_m = 1.0 - rho * rho
-    expo = -(rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2) / (2 * one_m)
-    return _out(np.exp(expo) / np.sqrt(one_m))
+    return _out(np.exp(_gaussian_log_c(ndtri(u), ndtri(v), c.rho)))
+
+
+def _gaussian_log_c(z1, z2, rho):
+    """log of the Gaussian copula density at the normal scores z1, z2."""
+    D = 1 - rho * rho
+    return -(rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2) / (2 * D) - 0.5 * np.log(D)
 
 
 def conditional_cdf(v, u, c: CopulaSpec):

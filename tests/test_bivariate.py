@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -28,6 +28,12 @@ from mbweibull.errors import SingularityError, SurvivalUnderflowError
 from mbweibull.mixture import (
     DEFAULT_PARAMS, mbw_hazard, mbw_params, mbw_pdf, mbw_survival, mixture_weight
 )
+
+
+_shape = st.floats(0.3, 20.0)
+_scale = st.floats(0.1, 10.0)
+_exponent = st.floats(1.0, 4.0)
+_ratio = st.floats(1e-4, 3.0)
 
 
 def _truth(copula="gfgm"):
@@ -172,6 +178,56 @@ class TestPdf:
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
+# bvw_pdf of the criterion-5 truth with a Gaussian copula where a margin's
+# survival e^-A is tiny (A = 41, 51, 123), computed with mpmath at 200
+# digits by docs/gaussian_tail.py
+GAUSSIAN_TAIL = {
+    (3.8, 8.5): 3.6870292683556374e-19,
+    (4.0, 9.0): 1.8518609948122733e-23,
+    (5.0, 12.0): 4.447494056816662e-56,
+}
+
+# coordinates from the origin to infinity, zero and subnormal-range
+# exponents included
+_COORDS = np.array([0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, 3.0, 10.0, 1e3, 1e100, np.inf])
+
+
+class TestLogSpaceDensity:
+    @pytest.mark.parametrize("point", list(GAUSSIAN_TAIL), ids=str)
+    def test_gaussian_upper_tail(self, point):
+        # u = 1 - e^-A rounds to 1 here; the normal score comes from e^-A
+        assert bvw_pdf(*point, _truth("gaussian").base) == pytest.approx(
+            GAUSSIAN_TAIL[point], rel=1e-10, abs=0)
+
+    # a fixed example sequence and no example database keep the suite
+    # deterministic
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        a1=st.floats(0.3, 1000.0), b1=st.floats(0.01, 100.0),
+        a2=st.floats(0.3, 1000.0), b2=st.floats(0.01, 100.0),
+        rho=st.floats(-1.0, 1.0), gaussian=st.booleans(),
+        a=_exponent, b=_exponent,
+    )
+    # the margins' product overflows where the copula density underflows
+    @example(a1=0.4175, b1=0.1919, a2=0.5298, b2=0.2017, rho=-0.744469,
+             gaussian=True, a=1.0, b=1.0)
+    # 1 + rho g(A) g(B) at rho = -1 and A = B = 0, where (a+b) - a rounds
+    # above b
+    @example(a1=170.5164452460386, b1=0.1520848371820683, a2=20.34056169655595,
+             b2=0.09196433021797147, rho=-1.0, gaussian=False, a=3.1344771605379953, b=1.0)
+    def test_never_nan_nor_negative(self, a1, b1, a2, b2, rho, gaussian, a, b):
+        if gaussian:
+            c = GaussianCopulaParams(np.clip(rho, -1 + 1e-6, 1 - 1e-6))
+        else:
+            c = GfgmParams(rho, a, b)
+        m = _model(a1, b1, a2, b2, c)
+        # a zero coordinate with a shape below 1 raises SingularityError
+        x, y = np.meshgrid(_COORDS[a1 < 1:], _COORDS[a2 < 1:])
+        f = np.asarray(bvw_pdf(x.ravel(), y.ravel(), m))
+        assert not np.any(np.isnan(f))
+        assert np.all(f >= 0)
+
+
 class TestSurvival:
     def test_at_origin(self):
         assert bvw_survival(0.0, 0.0, _model()) == pytest.approx(1.0, abs=1e-14)
@@ -255,21 +311,23 @@ class TestInfiniteExponent:
                 ratio(x, y, m)
 
 
-_shape = st.floats(0.3, 20.0)
-_scale = st.floats(0.1, 10.0)
-_exponent = st.floats(1.0, 4.0)
-_ratio = st.floats(1e-4, 3.0)
-
-
 class TestGfgmClosedFormProperty:
     # a fixed example sequence and no example database keep the suite
-    # deterministic
-    @settings(derandomize=True, database=None, deadline=None)
+    # deterministic; half the examples are Gaussian
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
         a1=_shape, b1=_scale, a2=_shape, b2=_scale,
         a=_exponent, b=_exponent, rho=st.floats(-1.0, 1.0), s=_ratio, t=_ratio,
+        gaussian=st.booleans(),
     )
-    def test_closed_form_equals_composition(self, a1, b1, a2, b2, a, b, rho, s, t):
+    def test_closed_form_equals_composition(self, a1, b1, a2, b2, a, b, rho, s, t, gaussian):
+        if gaussian:
+            # the Gaussian composition's u = 1 - e^-A keeps its digits only
+            # for moderate A, so the points have A, B <= 10
+            m = _model(a1, b1, a2, b2, GaussianCopulaParams(0.999 * rho))
+            x, y = b1 * min(s, 10 ** (1 / a1)), b2 * min(t, 10 ** (1 / a2))
+            assert bvw_pdf(x, y, m) == pytest.approx(_composed_pdf(x, y, m), rel=1e-9, abs=0)
+            return
         m = _model(a1, b1, a2, b2, GfgmParams(rho, a, b))
         x, y = s * b1, t * b2
         for fn, composed_fn in ((bvw_pdf, _composed_pdf), (bvw_survival, _composed_survival)):
@@ -298,7 +356,8 @@ class TestLogDensityScore:
         x = b1 * (-np.log1p(-q)) ** (1 / a1)
         y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
         logf, S = _log_density_score(x, y, model(theta))
-        np.testing.assert_allclose(logf, np.log(bvw_pdf(x, y, model(theta))), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            logf, np.log(_composed_pdf(x, y, model(theta))), rtol=1e-9, atol=1e-9)
         for i in range(5):
             step = np.zeros(5)
             step[i] = 1e-6 * max(abs(theta[i]), 1.0)

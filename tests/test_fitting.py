@@ -584,17 +584,19 @@ class TestOptimizer:
         assert seen == {1}
         assert after == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_rejected_point(self):
-        # every margin probability underflows, and the Gaussian copula
-        # density at rho = 1 - 1e-6 overflows there: the objective rejects
-        # the point, where loglik_mbw warns (an error in these tests)
+        # every margin probability underflows, where the Gaussian copula
+        # density at rho = 1 - 1e-6 overflows in linear space: the log-space
+        # density is 0 there, without a warning (an error in these tests),
+        # and the objective rejects the point
         truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
         data = sample_mbw(100, truth, SeededStream(1))
         theta = (1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3)
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
         assert objective(np.array(theta)) == (-np.inf, None)
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            loglik_mbw(data, mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0))
+        m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
+        assert loglik_mbw(data, m) == -np.inf
 
 
 def _quantile_rows(rng, shapes, scales, n):
@@ -658,6 +660,26 @@ class TestScore:
         ll, score = _objective("m3", data, 0.2, "gaussian", 1.0, 1.0)(
             np.array([2.0, 1.0, 2.0, 1.0, 0.6, 0.3]))
         assert np.isfinite(ll) and np.all(np.isfinite(score))
+
+    @pytest.mark.parametrize("alpha1", [3.0, 3.5, 4.0])
+    def test_gaussian_value_and_score_agree_at_large_exponents(self, alpha1):
+        # rows past the square with A = (x/0.6)^alpha1 up to 37, 76 and 124,
+        # where u = 1 - e^-A rounds to 1: the value and the score both take
+        # the normal score from e^-A
+        rng = np.random.default_rng(0)
+        data = np.vstack([
+            rng.uniform(0.0, 0.1, (20, 2)),
+            np.column_stack([np.repeat([2.0, 1.5, 1.2, 1.1], 5), rng.uniform(0.5, 2.0, 20)]),
+        ])
+        objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
+        theta = np.array([alpha1, 0.6, 2.0, 1.0, 0.6, 0.5])
+        ll, score = objective(theta)
+        fd = np.empty(6)
+        for i in range(6):
+            step = np.zeros(6)
+            step[i] = 1e-6 * max(abs(theta[i]), 1.0)
+            fd[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+        np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * np.abs(score).max())
 
 
 def _counting_objective(monkeypatch, reject=None):
