@@ -1,5 +1,6 @@
 """Copula-composed bivariate Weibull distribution: joint CDF, PDF (one
-log-space formula), survival (closed form for GFGM), and hazard."""
+log-space formula), survival (the survival copula at the margins'
+survivals), and hazard."""
 
 from dataclasses import dataclass
 
@@ -10,6 +11,7 @@ from .copulas import (
     CopulaSpec,
     GfgmParams,
     _gaussian_log_c,
+    _survival_copula,
     copula_cdf,
     copula_density,
 )
@@ -53,22 +55,8 @@ def bvw_cdf(x, y, m: BivariateWeibull):
     return copula_cdf(weibull_cdf(x, m.margin1), weibull_cdf(y, m.margin2), m.copula)
 
 
-def _gfgm_survival(x, y, m: BivariateWeibull):
-    # closed form of 1 - F1 - F2 + C(F1, F2) for a GFGM copula
-    c = m.copula
-    with np.errstate(over="ignore"):
-        A, B, S = _exponents(x, y, m)
-    eA = np.exp(-A)
-    eB = np.exp(-B)
-    # exp(-(a-1)(A+B)) is exactly 1 for a = 1, also where A+B is infinite
-    # and (a-1)(A+B) would be 0 * inf
-    tilt = np.exp(-(c.a - 1) * S) if c.a != 1 else 1.0
-    return np.exp(-S) * (1 + c.rho * tilt * (1 - eA) ** c.b * (1 - eB) ** c.b)
-
-
-# The compositions of the margins with the copula: the test oracle of
-# bvw_pdf for both copulas, the Gaussian copula's survival, and the test
-# oracle of the GFGM closed-form survival.
+# The compositions of the margins with the copula: the test oracles of
+# bvw_pdf and bvw_survival for both copulas.
 def _composed_pdf(x, y, m: BivariateWeibull):
     u = weibull_cdf(x, m.margin1)
     v = weibull_cdf(y, m.margin2)
@@ -80,9 +68,7 @@ def _composed_survival(x, y, m: BivariateWeibull):
         A, B, _ = _exponents(x, y, m)
     u = -np.expm1(-A)
     v = -np.expm1(-B)
-    R = np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
-    # R is 0 where a margin's survival e^-A is, not the rounding of 1 - u
-    return np.where(np.exp(-np.maximum(A, B)) == 0, 0.0, R)
+    return np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
 
 
 def _gfgm_factor(A, c: GfgmParams):
@@ -176,8 +162,8 @@ def bvw_pdf(x, y, m: BivariateWeibull):
     for both copulas."""
     x, y = _arrays(x, y)
     _check_nonneg(x, y)
-    if (m.margin1.shape < 1 and np.any(x == 0)) or (
-        m.margin2.shape < 1 and np.any(y == 0)
+    if (m.margin1.shape < 1 and (x == 0).any()) or (
+        m.margin2.shape < 1 and (y == 0).any()
     ):
         raise SingularityError(
             "joint density is unbounded at a zero coordinate with shape < 1"
@@ -187,12 +173,13 @@ def bvw_pdf(x, y, m: BivariateWeibull):
 
 
 def bvw_survival(x, y, m: BivariateWeibull):
-    """Joint survival 1 - F1 - F2 + C(F1, F2), in closed form for a GFGM
-    copula."""
+    """Joint survival P(X > x, Y > y): the survival copula at the margins'
+    survivals, C^(e^-A, e^-B), for both copulas."""
     x, y = _arrays(x, y)
     _check_nonneg(x, y)
-    gfgm = isinstance(m.copula, GfgmParams)
-    return _out((_gfgm_survival if gfgm else _composed_survival)(x, y, m))
+    with np.errstate(over="ignore"):
+        A, B, _ = _exponents(x, y, m)
+    return copula_cdf(np.exp(-A), np.exp(-B), _survival_copula(m.copula))
 
 
 def bvw_hazard(x, y, m: BivariateWeibull):

@@ -108,7 +108,7 @@ def _read_xy_csv(path) -> np.ndarray:
         raise DomainError(f"could not parse x,y columns from {path}")
     cols = data.dtype.names
     out = np.column_stack([data[cols[0]], data[cols[1]]]).astype(float)
-    if out.ndim != 2 or np.any(~np.isfinite(out)):
+    if out.ndim != 2 or not np.isfinite(out).all():
         raise DomainError(f"non-numeric values in {path}")
     return out
 

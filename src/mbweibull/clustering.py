@@ -90,7 +90,7 @@ def origin_cluster_mask(points, labels) -> np.ndarray:
     clustered point nearest the origin."""
     points = np.asarray(points, dtype=float)
     clustered = labels >= 0
-    if not np.any(clustered):
+    if not clustered.any():
         raise NoClusterError("all points are noise")
     lab = labels[clustered]
     dist = np.hypot(points[clustered, 0], points[clustered, 1])

@@ -58,7 +58,7 @@ CopulaSpec = Union[GfgmParams, GaussianCopulaParams]
 
 
 def _check_unit_square(u, v):
-    if np.any((u < 0) | (u > 1) | (v < 0) | (v > 1)):
+    if ((u < 0) | (u > 1) | (v < 0) | (v > 1)).any():
         raise DomainError("copula arguments must lie in the unit square")
 
 
@@ -89,7 +89,7 @@ def std_bivariate_normal_cdf(z1, z2, rho):
     beta = np.where((z1 * z2 > 0) | ((z1 * z2 == 0) & (z1 + z2 >= 0)), 0.0, 0.5)
     val = 0.5 * (ndtr(z1) + ndtr(z2)) - owens_t(z1, a1) - owens_t(z2, a2) - beta
     both_zero = (z1 == 0) & (z2 == 0)
-    if np.any(both_zero):
+    if both_zero.any():
         val = np.where(both_zero, 0.25 + np.arcsin(rho) / (2 * np.pi), val)
     return _out(np.clip(val, 0.0, 1.0))
 
@@ -153,7 +153,7 @@ def _gfgm_conditional_quantile(t, u, c: GfgmParams):
         v = np.where(done, v, vn)
     else:
         r = _gfgm_conditional_cdf(v, u, c) - t
-        if np.any(np.abs(r) > _QUANTILE_TOL):
+        if (np.abs(r) > _QUANTILE_TOL).any():
             raise ConvergenceError(
                 "conditional quantile did not reach tolerance "
                 f"{_QUANTILE_TOL} within {_QUANTILE_MAX_ITER} iterations"
@@ -176,12 +176,20 @@ def copula_cdf(u, v, c: CopulaSpec):
         z1 = ndtri(u)
         z2 = ndtri(v)
     interior = (u > 0) & (u < 1) & (v > 0) & (v < 1)
-    val = np.zeros(u.shape)
-    if np.any(interior):
+    # NaN stays NaN, as in the GFGM family
+    val = np.where(np.isnan(u + v), np.nan, 0.0)
+    if interior.any():
         val[interior] = std_bivariate_normal_cdf(z1[interior], z2[interior], c.rho)
     val = np.where(u == 1, v, val)
     val = np.where(v == 1, u, val)
     return _out(val)
+
+
+def _survival_copula(c: CopulaSpec) -> CopulaSpec:
+    """The survival copula C^(u, v) = u + v - 1 + C(1 - u, 1 - v): for
+    GFGM(rho, a, b) it is GFGM(rho, b, a); the Gaussian copula is radially
+    symmetric, so it is its own."""
+    return GfgmParams(c.rho, a=c.b, b=c.a) if isinstance(c, GfgmParams) else c
 
 
 def copula_density(u, v, c: CopulaSpec):
@@ -190,7 +198,7 @@ def copula_density(u, v, c: CopulaSpec):
     if isinstance(c, GfgmParams):
         _check_unit_square(u, v)
         return _out(_gfgm_density(u, v, c))
-    if np.any((u <= 0) | (u >= 1) | (v <= 0) | (v >= 1)):
+    if ((u <= 0) | (u >= 1) | (v <= 0) | (v >= 1)).any():
         raise DomainError("Gaussian copula density requires (u,v) in (0,1)^2")
     return _out(np.exp(_gaussian_log_c(ndtri(u), ndtri(v), c.rho)))
 
@@ -204,9 +212,9 @@ def _gaussian_log_c(z1, z2, rho):
 def conditional_cdf(v, u, c: CopulaSpec):
     """Conditional distribution C_u(v) = P(V <= v | U = u) = dC/du."""
     u, v = _arrays(u, v)
-    if np.any((u <= 0) | (u >= 1)):
+    if ((u <= 0) | (u >= 1)).any():
         raise DomainError("conditioning value u must lie in (0, 1)")
-    if np.any((v < 0) | (v > 1)):
+    if ((v < 0) | (v > 1)).any():
         raise DomainError("v must lie in [0, 1]")
     if isinstance(c, GfgmParams):
         return _out(_gfgm_conditional_cdf(v, u, c))
@@ -224,7 +232,7 @@ def conditional_quantile(t, u, c: CopulaSpec):
     bisection fallback for GFGM.
     """
     t, u = _arrays(t, u)
-    if np.any((t <= 0) | (t >= 1)) or np.any((u <= 0) | (u >= 1)):
+    if ((t <= 0) | (t >= 1)).any() or ((u <= 0) | (u >= 1)).any():
         raise DomainError("conditional quantile requires t, u in (0, 1)")
     if isinstance(c, GfgmParams):
         return _out(_gfgm_conditional_quantile(t, u, c))

@@ -9,9 +9,9 @@ each in a box. Standard errors come from the observed information, the
 central-difference Jacobian of that score. Comparison models: M1
 (independent exponential margins, closed form) and M2 (FGM-coupled
 exponential margins). M2 is M3 with fixed values: shapes 1, a GFGM(rho,
-1, 1) copula and no uniform component. Its likelihood is the GFGM closed
-form that M3's bulk density uses, and it is fitted by the same stage-2
-code.
+1, 1) copula and no uniform component. Its likelihood is the log-space
+density kernel that M3's bulk density uses (bivariate._log_density), and
+it is fitted by the same stage-2 code.
 """
 
 import contextlib
@@ -121,7 +121,7 @@ def loglik_mbw(data, m: MbwParams) -> float:
     keep, past = _kept_rows(x, y, m.rect)
     f2 = bvw_pdf(x[keep], y[keep], m.base)
     out_f = m.q * f2[past]
-    if np.any(out_f <= 0):
+    if (out_f <= 0).any():
         return -np.inf
     with np.errstate(divide="ignore"):
         ll = np.sum(np.log(m.p / m.rect.d**2 + m.q * f2[~past])) + np.sum(np.log(out_f))
@@ -568,7 +568,7 @@ def compute_se(data, result: FitResult) -> dict:
         try:
             cov = np.linalg.inv(-H)
             diag = np.diag(cov)
-            if np.any(diag <= 0):
+            if (diag <= 0).any():
                 raise np.linalg.LinAlgError("non-positive variance")
             for i, v in zip(free, diag):
                 se[names[i]] = float(np.sqrt(v))

@@ -62,7 +62,7 @@ def _arrays(*inputs):
 
 def _check_nonneg(*arrays):
     for a in arrays:
-        if np.any(a < 0):
+        if (a < 0).any():
             raise DomainError("lifetimes must be nonnegative")
 
 
@@ -101,7 +101,7 @@ def weibull_pdf(x, p: WeibullParams):
     """
     x = np.asarray(x, dtype=float)
     _check_nonneg(x)
-    if p.shape < 1 and np.any(x == 0):
+    if p.shape < 1 and (x == 0).any():
         raise SingularityError("Weibull pdf is unbounded at 0 for shape < 1")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = x / p.scale
@@ -115,7 +115,7 @@ def weibull_pdf(x, p: WeibullParams):
 def weibull_quantile(u, p: WeibullParams):
     """Inverse Weibull CDF: scale * (-log(1-u))^(1/shape) for u in [0, 1)."""
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u >= 1)):
+    if ((u < 0) | (u >= 1)).any():
         raise DomainError("quantile level must be in [0, 1)")
     return _out(p.scale * (-np.log1p(-u)) ** (1.0 / p.shape))
 

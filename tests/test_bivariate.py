@@ -15,6 +15,7 @@ from mbweibull import (
     bvw_hazard,
     bvw_pdf,
     bvw_survival,
+    copula_cdf,
     weibull_cdf,
     weibull_pdf,
 )
@@ -187,6 +188,15 @@ GAUSSIAN_TAIL = {
     (5.0, 12.0): 4.447494056816662e-56,
 }
 
+# bvw_survival of the same model where R is small, each with the relative
+# tolerance it is held to, computed by docs/gaussian_tail.py as the normal
+# orthant probability P(Z1 > z1, Z2 > z2); Owen's T leaves fewer digits the
+# smaller R is
+GAUSSIAN_TAIL_SURVIVAL = {
+    (3.0, 7.5): (1.02173722743893e-07, 1e-10),
+    (3.2, 8.0): (9.346991753587567e-10, 1e-8),
+}
+
 # coordinates from the origin to infinity, zero and subnormal-range
 # exponents included
 _COORDS = np.array([0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, 3.0, 10.0, 1e3, 1e100, np.inf])
@@ -229,6 +239,23 @@ class TestLogSpaceDensity:
 
 
 class TestSurvival:
+    @pytest.mark.parametrize("point", list(GAUSSIAN_TAIL_SURVIVAL), ids=str)
+    def test_gaussian_upper_tail(self, point):
+        # 1 - F1 - F2 + C(F1, F2) cancels here; the orthant does not
+        value, rel = GAUSSIAN_TAIL_SURVIVAL[point]
+        assert bvw_survival(*point, _truth("gaussian").base) == pytest.approx(value, rel=rel, abs=0)
+
+    @pytest.mark.parametrize("copula", [GfgmParams(0.5, a=2, b=3), GaussianCopulaParams(0.6)],
+                             ids=["gfgm", "gaussian"])
+    def test_nan_propagates(self, copula):
+        m = _model(copula=copula)
+        assert math.isnan(copula_cdf(math.nan, 0.5, copula))
+        assert math.isnan(copula_cdf(1.0, math.nan, copula))
+        for fn in (bvw_cdf, bvw_survival):
+            assert math.isnan(fn(math.nan, 1.0, m))
+            assert math.isnan(fn(0.0, math.nan, m))
+            assert np.isnan(fn(np.array([math.nan, 1.0]), 1.0, m)).tolist() == [True, False]
+
     def test_at_origin(self):
         assert bvw_survival(0.0, 0.0, _model()) == pytest.approx(1.0, abs=1e-14)
 
@@ -327,6 +354,8 @@ class TestGfgmClosedFormProperty:
             m = _model(a1, b1, a2, b2, GaussianCopulaParams(0.999 * rho))
             x, y = b1 * min(s, 10 ** (1 / a1)), b2 * min(t, 10 ** (1 / a2))
             assert bvw_pdf(x, y, m) == pytest.approx(_composed_pdf(x, y, m), rel=1e-9, abs=0)
+            assert bvw_survival(x, y, m) == pytest.approx(
+                _composed_survival(x, y, m), rel=1e-8, abs=1e-12)
             return
         m = _model(a1, b1, a2, b2, GfgmParams(rho, a, b))
         x, y = s * b1, t * b2

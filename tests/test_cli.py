@@ -132,6 +132,30 @@ class TestFit:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["input_digest"].startswith("sha256:")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x\n1.5\n2.5\n", "could not parse x,y columns"),
+        ("x,y\n1.5,2.5\n0.5,abc\n", "non-numeric values"),
+    ], ids=["one-column", "non-numeric"])
+    def test_malformed_csv_rejected(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "pts.csv"
+        csv.write_text(text)
+        assert main(["fit", "--data", str(csv), "--model", "m1"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_unconverged_fit_warns_and_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 10)
+        out = tmp_path / "m3.json"
+        argv = ["fit", "--data", "vannman", "--model", "m3", "--minpts", "4", "--eps", "1.6",
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONVERGENCE == 3
+        assert "warning: optimizer did not converge" in capsys.readouterr().out
+        payload = json.loads(_read(out))
+        assert payload["converged"] is False
+        assert payload["n_evals"] >= 10
+        assert payload["estimates"]["d"] == pytest.approx(1.4)
+
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     def test_negative_lifetime_rejected(self, tmp_path, capsys, model):
         csv = tmp_path / "pts.csv"

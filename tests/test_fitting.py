@@ -245,6 +245,11 @@ class TestFitM1:
         res = fit_m1(vannman_data())
         assert res.std_errors["beta1"] == pytest.approx(res.estimates["beta1"] / 6, rel=1e-12)
 
+    def test_zero_mean_margin(self):
+        data = np.column_stack([np.linspace(1, 2, 20), np.zeros(20)])
+        with pytest.raises(DegenerateDataError, match="zero mean"):
+            fit_m1(data)
+
     def test_symmetric_margins(self):
         x = np.linspace(0.5, 3, 25)
         res = fit_m1(np.column_stack([x, x]))
@@ -734,6 +739,27 @@ class TestStandardErrors:
         _counting_objective(monkeypatch, reject=3)
         compute_se(vannman_data(), res)
         assert res.diagnostics["hessian"] == "rejected probe"
+        assert all(math.isnan(se) for se in res.std_errors.values())
+        assert all(math.isnan(pv) for pv in res.p_values.values())
+
+    def test_indefinite_information_voids_every_standard_error(self, monkeypatch):
+        # with the score's sign flipped the optimum is a minimum, whose
+        # observed information is negative definite
+        res = _vannman_fit("m2")
+        build = fitting._objective
+
+        def flipped(*args):
+            objective = build(*args)
+
+            def negated(theta):
+                ll, g = objective(theta)
+                return ll, -g
+
+            return negated
+
+        monkeypatch.setattr(fitting, "_objective", flipped)
+        compute_se(vannman_data(), res)
+        assert res.diagnostics["hessian"] == "not positive definite"
         assert all(math.isnan(se) for se in res.std_errors.values())
         assert all(math.isnan(pv) for pv in res.p_values.values())
 
