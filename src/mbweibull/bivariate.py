@@ -5,7 +5,7 @@ survivals), and hazard."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, ndtri_exp
 
 from .copulas import (
     CopulaSpec,
@@ -30,14 +30,6 @@ class BivariateWeibull:
     margin1: WeibullParams
     margin2: WeibullParams
     copula: CopulaSpec
-
-
-def _exponents(x, y, m: BivariateWeibull):
-    """The terms A = (x/beta1)^alpha1 and B = (y/beta2)^alpha2 and their sum,
-    each +inf where it overflows; the caller silences that warning."""
-    A = (x / m.margin1.scale) ** m.margin1.shape
-    B = (y / m.margin2.scale) ** m.margin2.shape
-    return A, B, A + B
 
 
 def _over_survival(num, R):
@@ -65,7 +57,7 @@ def _composed_pdf(x, y, m: BivariateWeibull):
 
 def _composed_survival(x, y, m: BivariateWeibull):
     with np.errstate(over="ignore"):
-        A, B, _ = _exponents(x, y, m)
+        A, B = (x / m.margin1.scale) ** m.margin1.shape, (y / m.margin2.scale) ** m.margin2.shape
     u = -np.expm1(-A)
     v = -np.expm1(-B)
     return np.clip(1.0 - u - v + copula_cdf(u, v, m.copula), 0.0, 1.0)
@@ -92,68 +84,79 @@ def _gfgm_factor(A, c: GfgmParams):
     return g, A * dg
 
 
+_TINY, _LOG_2, _HALF_LOG_2PI = np.finfo(float).tiny, np.log(2.0), 0.5 * np.log(2 * np.pi)
+
+
 def _gaussian_z(A):
     """The normal score z = ndtri(1 - e^-A) of a margin and A dz/dA, each
     taken from the tail A lies in, so that neither rounds to 0 or 1 first.
     A dz/dA = A e^-A / phi(z) is formed in log space. A margin probability
     of exactly 0 counts as the smallest normal float."""
-    A = np.maximum(A, np.finfo(float).tiny)
+    A = np.maximum(A, _TINY)
     # one ndtri per row: of the lower tail's 1 - e^-A or the upper tail's e^-A
-    lower = A < np.log(2.0)
-    z = ndtri(np.where(lower, -np.expm1(-A), np.exp(-A)))
+    lower = A < _LOG_2
+    e = np.exp(-A)
+    z = ndtri(np.where(lower, -np.expm1(-A), e))
     z = np.where(lower, z, -z)
-    return z, np.exp(np.log(A) - A + 0.5 * z * z + 0.5 * np.log(2 * np.pi))
+    # where e^-A is subnormal or 0 (A above about 708.4), from log e^-A = -A
+    if e.min(initial=1.0) < _TINY:
+        z = np.where(e < _TINY, -ndtri_exp(-A), z)
+    return z, np.exp(np.log(A) - A + 0.5 * z * z + _HALF_LOG_2PI)
 
 
-def _log_density(x, y, m: BivariateWeibull):
-    """log f of the bivariate Weibull, -inf where A + B or a normal score is
-    infinite, and per margin the pieces of its score: E = (t/beta)^alpha,
-    L = log(t/beta) and the copula term with E times its E-derivative,
-    (g, E g') from _gfgm_factor or (z, E z') from _gaussian_z. The caller
-    silences the warnings."""
-    c = m.copula
-    A, B, S = _exponents(x, y, m)
+def _log_density(x, y, theta, c):
+    """log f of the bivariate Weibull at theta = (alpha1, beta1, alpha2,
+    beta2, rho), scalars or (K, 1) columns against the rows, with the family
+    and GFGM exponents of the copula c; -inf where A + B or a normal score
+    is infinite. Per margin, the pieces of its score: E = (t/beta)^alpha, L
+    = log(t/beta) and (g, E g') from _gfgm_factor or (z, E z') from
+    _gaussian_z. The caller silences the warnings."""
+    a1, b1, a2, b2, rho = theta
+    A, B = (x / b1) ** a1, (y / b2) ** a2
     gfgm = isinstance(c, GfgmParams)
     (gA, kA), (gB, kB) = (_gfgm_factor(E, c) if gfgm else _gaussian_z(E) for E in (A, B))
-    logf = np.log(1 + c.rho * gA * gB) if gfgm else _gaussian_log_c(gA, gB, c.rho)
+    logf = np.log(1 + rho * gA * gB) if gfgm else _gaussian_log_c(gA, gB, rho)
     parts = []
-    for t, E, g, k, p in ((x, A, gA, kA, m.margin1), (y, B, gB, kB, m.margin2)):
+    for t, E, g, k, alpha, beta in ((x, A, gA, kA, a1, b1), (y, B, gB, kB, a2, b2)):
         # log f_i = log(alpha/beta) + (alpha-1) L - E, whose middle term is 0
         # at alpha = 1, also where t = 0 and L = -inf
-        L = np.log(t / p.scale)
-        logf = logf + (np.log(p.shape / p.scale) + ((p.shape - 1) * L if p.shape != 1 else 0) - E)
+        L = np.log(t / beta)
+        aL = (alpha - 1) * L
+        aL = np.where(alpha != 1, aL, 0) if np.ndim(alpha) or alpha == 1 else aL
+        logf = logf + (np.log(alpha / beta) + aL - E)
         parts.append((E, L, g, k))
     # -inf, not inf - inf; a GFGM factor is always finite
-    return np.where(np.isinf(S + gA + gB), -np.inf, logf), parts
+    return np.where(np.isinf(A + B + gA + gB), -np.inf, logf), parts
 
 
-def _log_density_score(x, y, m: BivariateWeibull):
+def _log_density_score(x, y, theta, c):
     """log f of the bivariate Weibull and, row by row, its gradient over
-    (alpha1, beta1, alpha2, beta2, rho): the score of the bulk density,
-    built on the pieces of _log_density.
+    theta = (alpha1, beta1, alpha2, beta2, rho): the score of the bulk
+    density, built on the pieces of _log_density. K parameter points, such
+    as the probes of a standard-error Hessian, take one call as columns:
+    (K, n) log f and a (K, n, 5) score.
 
     Rows are assumed valid: where the density vanishes the score may be
     NaN. No warning is raised.
     """
-    c = m.copula
-    S = np.empty((np.size(x), 5))
+    a1, b1, a2, b2, rho = theta
     with np.errstate(all="ignore"):
-        logf, ((A, LA, gA, kA), (B, LB, gB, kB)) = _log_density(x, y, m)
+        logf, ((A, LA, gA, kA), (B, LB, gB, kB)) = _log_density(x, y, theta, c)
+        S = np.empty(logf.shape + (5,))
         # A dlog c/dA and B dlog c/dB, and dlog c/drho
         if isinstance(c, GfgmParams):
-            den = 1 + c.rho * gA * gB
-            kA, kB = c.rho * kA * gB / den, c.rho * kB * gA / den
-            S[:, 4] = gA * gB / den
+            den = 1 + rho * gA * gB
+            kA, kB = rho * kA * gB / den, rho * kB * gA / den
+            S[..., 4] = gA * gB / den
         else:
-            rho = c.rho
             D = 1 - rho * rho
             kA = rho * (gB - rho * gA) / D * kA
             kB = rho * (gA - rho * gB) / D * kB
-            S[:, 4] = rho / D + (gA * gB * (1 + rho * rho) - rho * (gA * gA + gB * gB)) / D**2
-        for i, (E, L, k, p) in enumerate(((A, LA, kA, m.margin1), (B, LB, kB, m.margin2))):
+            S[..., 4] = rho / D + (gA * gB * (1 + rho * rho) - rho * (gA * gA + gB * gB)) / D**2
+        for i, (E, L, k, alpha, beta) in enumerate(((A, LA, kA, a1, b1), (B, LB, kB, a2, b2))):
             # dE/dalpha = E log(t/beta) and dE/dbeta = -(alpha/beta) E
-            S[:, 2 * i] = 1 / p.shape + L * (1 - E) + k * L
-            S[:, 2 * i + 1] = p.shape / p.scale * (E - 1 - k)
+            S[..., 2 * i] = 1 / alpha + L * (1 - E) + k * L
+            S[..., 2 * i + 1] = alpha / beta * (E - 1 - k)
     return logf, S
 
 
@@ -169,7 +172,8 @@ def bvw_pdf(x, y, m: BivariateWeibull):
             "joint density is unbounded at a zero coordinate with shape < 1"
         )
     with np.errstate(all="ignore"):
-        return _out(np.exp(_log_density(x, y, m)[0]))
+        theta = (m.margin1.shape, m.margin1.scale, m.margin2.shape, m.margin2.scale, m.copula.rho)
+        return _out(np.exp(_log_density(x, y, theta, m.copula)[0]))
 
 
 def bvw_survival(x, y, m: BivariateWeibull):
@@ -178,7 +182,7 @@ def bvw_survival(x, y, m: BivariateWeibull):
     x, y = _arrays(x, y)
     _check_nonneg(x, y)
     with np.errstate(over="ignore"):
-        A, B, _ = _exponents(x, y, m)
+        A, B = (x / m.margin1.scale) ** m.margin1.shape, (y / m.margin2.scale) ** m.margin2.shape
     return copula_cdf(np.exp(-A), np.exp(-B), _survival_copula(m.copula))
 
 

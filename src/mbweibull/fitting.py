@@ -6,12 +6,13 @@ parameters are maximized by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, SIAM
 J. Sci. Comput. 16:1190) on the analytic score of the log-likelihood:
 shapes and scales on a log scale, p on a logit scale and rho as itself,
 each in a box. Standard errors come from the observed information, the
-central-difference Jacobian of that score. Comparison models: M1
-(independent exponential margins, closed form) and M2 (FGM-coupled
-exponential margins). M2 is M3 with fixed values: shapes 1, a GFGM(rho,
-1, 1) copula and no uniform component. Its likelihood is the log-space
-density kernel that M3's bulk density uses (bivariate._log_density), and
-it is fitted by the same stage-2 code.
+central-difference Jacobian of that score, whose probes are scored in one
+kernel call. Comparison models: M1 (independent exponential margins,
+closed form) and M2 (FGM-coupled exponential margins). M2 is M3 with
+fixed values: shapes 1, a GFGM(rho, 1, 1) copula and no uniform
+component. Its likelihood is the log-space density kernel that M3's bulk
+density uses (bivariate._log_density), and it is fitted by the same
+stage-2 code.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from scipy import optimize
 from scipy.special import beta as beta_fn
 from scipy.special import chdtrc, expit, logit, ndtr
 
-from .bivariate import BivariateWeibull, _log_density_score, bvw_pdf
+from .bivariate import _log_density_score, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .copulas import GfgmParams
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .mixture import MbwParams, _copula, mbw_params
 from .sampler import SeededStream
-from .univariate import RectUniform, WeibullParams
+from .univariate import RectUniform
 
 __all__ = [
     "FitResult",
@@ -165,14 +166,14 @@ def _spearman(x, y) -> float:
 
 # Each parameter kind fixes the optimizer's coordinate for a value, its
 # inverse, the distance from a value to the edge of the parameter space,
-# and the derivative of the value in its coordinate, which chains the
-# score to the optimizer. Shapes and scales are both of kind "scale"; rho,
-# of kind "box", is its own coordinate and keeps to its copula's space by
-# the search box.
+# the derivative of the value in its coordinate, which chains the score to
+# the optimizer, and the closed bounds of its space. Shapes and scales are
+# both of kind "scale"; rho, of kind "box", is its own coordinate and keeps
+# to its copula's space by the search box.
 _KINDS = {
-    "scale": (np.log, np.exp, lambda t: np.inf, lambda t: t),
-    "box": (float, float, lambda t: 1.0 - abs(t), lambda t: 1.0),
-    "logit": (logit, expit, lambda t: min(t, 1.0 - t), lambda t: t * (1.0 - t)),
+    "scale": (np.log, np.exp, lambda t: np.inf, lambda t: t, (0.0, np.inf)),
+    "box": (float, float, lambda t: 1.0 - abs(t), lambda t: 1.0, (-1.0, 1.0)),
+    "logit": (logit, expit, lambda t: min(t, 1.0 - t), lambda t: t * (1.0 - t), (0.0, 1.0)),
 }
 
 # A parameter closer than this to the edge of its space is on its boundary:
@@ -223,55 +224,84 @@ def _free_slope(kinds, theta) -> np.ndarray:
     return np.array([_KINDS[k][3](t) for k, t in zip(kinds, theta)])
 
 
-def _objective(model, data, d=None, family=None, a=None, b=None):
-    """The log-likelihood of member ``model`` on ``data`` and its score,
-    both over its free parameters in ``_MEMBERS`` order; M3 also takes its
-    plugged-in d and its copula. A bad setting (model, family, GFGM
-    exponent, d) raises DomainError here, once. The function returned maps
-    a point to (log-likelihood, score), and to (-inf, None) where the model
-    is undefined, has no density, or overflows.
-    """
+def _member_score(model, data, d=None, family=None, a=None, b=None):
+    """The score of member ``model`` on ``data`` over its free parameters
+    in ``_MEMBERS`` order; M3 also takes its plugged-in d and its copula. A
+    bad setting (model, family, GFGM exponent, d) raises DomainError here,
+    once. The function returned maps a point to the log f of the rows the
+    likelihood counts (all rows for M2) and the score; a (K, |free|) array
+    of points, in one kernel call, to (K, n) log f and (K, |free|) scores,
+    a row NaN where its point lies past the edge of the parameter space, a
+    row past the square has no density, or the score is not finite. The
+    caller silences the warnings."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
-
-        def value(b1, b2, rho):
-            bulk = BivariateWeibull(WeibullParams(1.0, b1), WeibullParams(1.0, b2), GfgmParams(rho))
-            # one pass in log space, so a row whose density underflows still
-            # counts; M2 has no shape columns, which are -inf on a row with a zero
-            logf, S = _log_density_score(x, y, bulk)
-            return np.sum(logf), S[:, [1, 3, 4]].sum(axis=0)
+        past, c = np.ones(len(x), bool), GfgmParams(0.0)
     elif model == "m3":
         # the settings are valid when they make a model with some free values
-        mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b)
+        c = mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b).base.copula
         keep, past = _kept_rows(x, y, RectUniform(0.0, 0.0, d))
-        xk, yk = x[keep], y[keep]
+        x, y = x[keep], y[keep]
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    # a point on the edge of the parameter space has no finite score
+    lo, hi = np.array([_KINDS[k][4] for k in _MEMBERS[model][0].values()]).T
 
-        def value(a1, b1, a2, b2, rho, p):
-            m = mbw_params(a1, b1, a2, b2, rho, d, p, family, a, b)
-            ll = loglik_mbw(data, m)
-            if ll == -np.inf:
-                return ll, None
-            logf, S = _log_density_score(xk, yk, m.base)
+    def score(points):
+        # one point's values as scalars, the kernel's one-point call that the
+        # fit keeps bit for bit; K points' values as (K, 1) columns
+        cols = points.T[:, :, None] if points.ndim == 2 else points
+        if model == "m2":
+            # one pass in log space, so a row whose density underflows still
+            # counts; M2 has no shape columns, which are -inf on a row with a zero
+            b1, b2, rho = cols
+            logf, S = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
+            g = S[..., [1, 3, 4]].sum(axis=-2)
+        else:
+            logf, S = _log_density_score(x, y, cols[:5], c)
+            p = cols[5]
             # a row on the plateau weighs its bulk score by its bulk share
             # q f / (p/d^2 + q f); a row past the square has share 1
-            w = np.where(past, 1.0, expit(np.log(m.q / p) + logf + 2 * np.log(d)))
+            w = np.where(past, 1.0, expit(np.log((1.0 - p) / p) + logf + 2 * np.log(d)))
             # a row whose share underflowed has no bulk density left to
             # differentiate, and its score may be NaN
             S[w == 0] = 0.0
-            return ll, np.append(w @ S, np.sum((1 - w) / p - w / m.q))
-    else:
-        raise DomainError(f"unknown model {model!r}")
+            dp = np.sum((1 - w) / p - w / (1.0 - p), axis=-1)
+            g = np.concatenate([(w[..., None, :] @ S)[..., 0, :], dp[..., None]], axis=-1)
+        if points.ndim == 2:
+            g[((points < lo) | (points > hi)).any(axis=1) | np.isinf(logf[:, past]).any(axis=1)
+              | ~np.isfinite(g).all(axis=1)] = np.nan
+        return logf, g
+
+    return score
+
+
+def _objective(model, data, d=None, family=None, a=None, b=None):
+    """The log-likelihood and ``_member_score``'s score, with its arguments,
+    as a function of one point; M3's log-likelihood is ``loglik_mbw``'s. It
+    maps a point to (-inf, None) where the model is undefined, has no
+    density, or overflows."""
+    score = _member_score(model, data, d, family, a, b)
 
     def objective(theta):
         try:
             # an overflow rejects the point instead of warning
             with np.errstate(over="raise", invalid="raise"):
-                ll, score = value(*theta)
+                if model == "m2":
+                    # rho in FGM's space; a scale at or past 0 has no finite log f
+                    GfgmParams(theta[2])
+                    logf, g = score(theta)
+                    ll = np.sum(logf)
+                else:
+                    ll = loglik_mbw(data, mbw_params(*theta[:5], d, theta[5], family, a, b))
+                    if ll == -np.inf:
+                        return ll, None
+                    g = score(theta)[1]
         except (SingularityError, DomainError, FloatingPointError):
             return -np.inf, None
-        if not (np.isfinite(ll) and np.all(np.isfinite(score))):
+        if not (np.isfinite(ll) and np.all(np.isfinite(g))):
             return -np.inf, None
-        return float(ll), score
+        return float(ll), g
 
     return objective
 
@@ -527,39 +557,30 @@ def compute_se(data, result: FitResult) -> dict:
     """Observed-information standard errors of an M2 or M3 fit. The
     Hessian of the log-likelihood at the optimum is the symmetrised
     central difference of its analytic score, taken over the parameters
-    not in ``result.boundary_flags``: two score calls per parameter. d
-    (for the mixture model) and the flagged parameters are held at their
-    estimates, and a flagged parameter gets NaN for its standard error and
-    p-value: at a boundary the Wald reference does not apply. A probe the
-    objective rejects leaves the Hessian undefined, and every standard
-    error and p-value NaN. M1's standard errors are closed-form and set by
-    ``fit_m1``.
+    not in ``result.boundary_flags``: two probes per parameter, all scored
+    in one kernel call (``_member_score``). d (for the mixture model) and
+    the flagged parameters are held at their estimates, and a flagged
+    parameter gets NaN for its standard error and p-value: at a boundary
+    the Wald reference does not apply. A rejected probe leaves the Hessian
+    undefined, and every standard error and p-value NaN. M1's standard
+    errors are closed-form and set by ``fit_m1``.
 
     Updates ``result.std_errors`` / ``result.p_values`` in place and
     returns the standard-error dict.
     """
     data = _as_data(data)
     get = result.diagnostics.get
-    objective = _objective(
-        result.model,
-        data,
-        result.estimates.get("d"),
-        get("copula_family"),
-        get("copula_a"),
-        get("copula_b"),
-    )
+    score = _member_score(result.model, data, result.estimates.get("d"),
+                          get("copula_family"), get("copula_a"), get("copula_b"))
     names = list(_MEMBERS[result.model][0])
     theta = np.array([result.estimates[k] for k in names])
     free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
-
-    def score(i, step):
-        t = theta.copy()
-        t[i] += step
-        ll, g = objective(t)
-        return g[free] if ll > -np.inf else np.full(len(free), np.nan)
-
     steps = 1e-4 * np.maximum(np.abs(theta[free]), 1.0)
-    H = np.array([(score(i, h) - score(i, -h)) / (2 * h) for i, h in zip(free, steps)])
+    # the probes theta + h e_i, then theta - h e_i, over the free i
+    shift = np.eye(len(names))[free] * steps[:, None]
+    with np.errstate(all="ignore"):
+        g = score(theta + np.vstack([shift, -shift]))[1][:, free]
+    H = (g[: len(free)] - g[len(free):]) / (2 * steps[:, None])
     H = (H + H.T) / 2
     se = dict.fromkeys(names, float("nan"))
     if not np.all(np.isfinite(H)):

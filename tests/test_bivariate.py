@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtri, ndtri_exp
 
 from mbweibull import (
     BivariateWeibull,
@@ -35,6 +35,9 @@ _shape = st.floats(0.3, 20.0)
 _scale = st.floats(0.1, 10.0)
 _exponent = st.floats(1.0, 4.0)
 _ratio = st.floats(1e-4, 3.0)
+# shapes of 1 and in [0.3, 5], but not numpy's fast-power exponents 0.5 and 2
+_column_shape = st.one_of(
+    st.just(1.0), st.floats(0.3, 5.0).filter(lambda s: s not in (0.5, 2.0)))
 
 
 def _truth(copula="gfgm"):
@@ -197,6 +200,12 @@ GAUSSIAN_TAIL_SURVIVAL = {
     (3.2, 8.0): (9.346991753587567e-10, 1e-8),
 }
 
+# log f of the Gaussian model with margins (2, 1) and rho = 0.6 at
+# (sqrt(A), 1), B = 1, where e^-A is subnormal (A = 746) or 0 (A = 800):
+# computed with mpmath at 600 digits from the float sqrt(A), with the normal
+# score z = sqrt(2) erfinv(1 - 2 e^-A)
+GAUSSIAN_DEEP_TAIL = {746.0: -1146.986099025472, 800.0: -1230.8708301884078}
+
 # coordinates from the origin to infinity, zero and subnormal-range
 # exponents included
 _COORDS = np.array([0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, 3.0, 10.0, 1e3, 1e100, np.inf])
@@ -208,6 +217,14 @@ class TestLogSpaceDensity:
         # u = 1 - e^-A rounds to 1 here; the normal score comes from e^-A
         assert bvw_pdf(*point, _truth("gaussian").base) == pytest.approx(
             GAUSSIAN_TAIL[point], rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("A", list(GAUSSIAN_DEEP_TAIL))
+    def test_gaussian_log_density_where_the_margin_survival_underflows(self, A):
+        # e^-A is no normal float here; the normal score comes from -A
+        logf, S = _log_density_score(
+            np.sqrt([A]), np.ones(1), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
+        assert logf[0] == pytest.approx(GAUSSIAN_DEEP_TAIL[A], rel=1e-13, abs=0)
+        assert np.isfinite(S).all()
 
     # a fixed example sequence and no example database keep the suite
     # deterministic
@@ -384,24 +401,79 @@ class TestLogDensityScore:
         q = np.array(levels)
         x = b1 * (-np.log1p(-q)) ** (1 / a1)
         y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
-        logf, S = _log_density_score(x, y, model(theta))
+        logf, S = _log_density_score(x, y, theta, model(theta).copula)
         np.testing.assert_allclose(
             logf, np.log(_composed_pdf(x, y, model(theta))), rtol=1e-9, atol=1e-9)
         for i in range(5):
             step = np.zeros(5)
             step[i] = 1e-6 * max(abs(theta[i]), 1.0)
-            fd = (_log_density_score(x, y, model(theta + step))[0]
-                  - _log_density_score(x, y, model(theta - step))[0]) / (2 * step[i])
+            fd = (_log_density_score(x, y, theta + step, model(theta + step).copula)[0]
+                  - _log_density_score(x, y, theta - step, model(theta - step).copula)[0]
+                  ) / (2 * step[i])
             tol = 1e-6 * max(np.abs(S[:, i]).max(), 1.0)
             np.testing.assert_allclose(S[:, i], fd, rtol=0, atol=tol)
 
+    # a fixed example sequence and no example database keep the suite
+    # deterministic. A shape of exactly 0.5 or 2 is left out: numpy's **
+    # takes sqrt or square for such a 0-d exponent and C pow for an array
+    # one, which can differ in the last bit of A, and a score term such as
+    # A dz/dA at a Gaussian A near 1e14 turns that into a visible difference
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        points=st.lists(
+            st.tuples(_column_shape, _scale, _column_shape, _scale, st.floats(-1.0, 1.0)),
+            min_size=1, max_size=5),
+        gaussian=st.booleans(),
+        a=st.one_of(st.just(1.0), _exponent), b=st.one_of(st.just(1.0), _exponent),
+    )
+    def test_parameter_columns_equal_one_point_calls(self, points, gaussian, a, b):
+        # K points as (K, 1) columns give the K one-point calls' rows: rows
+        # at t = 0, at alpha = 1, and where the first point's exponent A
+        # lies past 708.4, where e^-A is no normal float
+        P = np.array(points)
+        if gaussian:
+            P[:, 4] = np.clip(P[:, 4], -0.999, 0.999)
+        c = GaussianCopulaParams(0.0) if gaussian else GfgmParams(0.0, a, b)
+        deep = P[0, 1] * 730.0 ** (1 / P[0, 0])
+        x = np.concatenate([_COORDS[:-1], [deep, 0.0, 2.0]])
+        y = np.concatenate([_COORDS[:-1][::-1], [1.0, 0.0, deep]])
+        logf, S = _log_density_score(x, y, tuple(P.T[:, :, None]), c)
+        assert logf.shape == (len(P), len(x)) and S.shape == (len(P), len(x), 5)
+        for k, theta in enumerate(P):
+            logf_k, S_k = _log_density_score(x, y, tuple(theta), c)
+            np.testing.assert_array_equal(logf[k], logf_k)
+            np.testing.assert_array_equal(S[k, :, :4], S_k[:, :4])
+            if gaussian:
+                # dlog c/drho = rho/D + (...)/D**2, where D**2 of a 0-d D is
+                # C pow and of an array np.square: the two differ in the last
+                # bit for about 1 D in 1,000, so the second term may differ
+                # by 1e-15 relative
+                rho = theta[4]
+                np.testing.assert_allclose(S[k, :, 4], S_k[:, 4], rtol=1e-15,
+                                           atol=1e-15 * abs(rho) / (1 - rho * rho))
+            else:
+                np.testing.assert_array_equal(S[k, :, 4], S_k[:, 4])
+
+    @pytest.mark.parametrize("copula", [GfgmParams(0.5, a=2, b=3), GaussianCopulaParams(0.5)],
+                             ids=["gfgm", "gaussian"])
+    def test_unit_shape_column_at_zero(self, copula):
+        # (alpha - 1) L is 0 at alpha = 1 also where t = 0 and L = -inf, in a
+        # column as for a scalar, not 0 * -inf
+        x, y = np.array([0.0, 0.5]), np.array([0.5, 0.0])
+        shapes = np.array([[1.0], [1.5]])
+        logf, _ = _log_density_score(x, y, (shapes, 2.0, 1.0, 3.0, 0.5), copula)
+        assert np.isfinite(logf[0]).all()
+        expect, _ = _log_density_score(x, y, (1.0, 2.0, 1.0, 3.0, 0.5), copula)
+        np.testing.assert_array_equal(logf[0], expect)
+
     def test_gaussian_z_takes_one_ndtri_per_row(self):
-        # bit for bit the two-branch form, which took ndtri of both tails
+        # bit for bit the two-branch form, which took ndtri of both tails,
+        # wherever e^-A is a normal float (A up to about 708.4)
         log2 = np.log(2.0)
         A = np.concatenate([
             np.exp(np.linspace(-40.0, 6.0, 200_000)),
             [log2, np.nextafter(log2, 0.0), np.nextafter(log2, np.inf),
-             1e-300, 700.0, 745.0, 746.0],
+             1e-300, 700.0, 708.39],
         ])
         with np.errstate(all="ignore"):
             z_two = np.where(A < log2, ndtri(-np.expm1(-A)), -ndtri(np.exp(-A)))
@@ -409,3 +481,9 @@ class TestLogDensityScore:
             z, k = _gaussian_z(A)
         assert np.array_equal(z.view(np.int64), z_two.view(np.int64))
         assert np.array_equal(k.view(np.int64), k_two.view(np.int64))
+        # past it, where the two-branch form lost digits (A = 745) or gave
+        # inf (A = 746), z comes from log e^-A = -A
+        A = np.array([708.4, 745.0, 746.0, 800.0])
+        with np.errstate(all="ignore"):
+            z, k = _gaussian_z(A)
+        assert np.array_equal(z, -ndtri_exp(-A)) and np.isfinite(k).all()

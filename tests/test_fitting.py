@@ -651,10 +651,9 @@ class TestScore:
     def test_gaussian_score_in_both_tails(self):
         # where 1 - e^-A rounds to 0 (A < 1e-12) or to 1 (A > 40), the
         # normal score comes from the tail A lies in
-        m = BivariateWeibull(
-            WeibullParams(2.0, 1.0), WeibullParams(2.0, 1.0), GaussianCopulaParams(0.6))
         A = np.array([1e-300, 1e-13, 0.5, 45.0, 200.0, 700.0])
-        logf, S = _log_density_score(np.sqrt(A), np.sqrt(A[::-1]), m)
+        logf, S = _log_density_score(
+            np.sqrt(A), np.sqrt(A[::-1]), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
         assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S))
         # the same rows in an M3 fit: a plateau row with A = 1e-13 and a row
         # past the square with A = 45
@@ -687,22 +686,25 @@ class TestScore:
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * np.abs(score).max())
 
 
-def _counting_objective(monkeypatch, reject=None):
-    # every call of each objective that fitting._objective builds, and the
-    # call (from 1) at which to reject the point instead
+def _counting_score(monkeypatch, reject=None):
+    # the points of every call of each score that fitting._member_score
+    # builds, and the row (from 0) of each call to reject instead
     calls = []
-    build = fitting._objective
+    build = fitting._member_score
 
     def spy(*args):
-        objective = build(*args)
+        score = build(*args)
 
-        def counted(theta):
-            calls.append(theta)
-            return (-np.inf, None) if len(calls) == reject else objective(theta)
+        def counted(points):
+            calls.append(points)
+            logf, g = score(points)
+            if reject is not None:
+                g[reject] = np.nan
+            return logf, g
 
         return counted
 
-    monkeypatch.setattr(fitting, "_objective", spy)
+    monkeypatch.setattr(fitting, "_member_score", spy)
     return calls
 
 
@@ -726,17 +728,34 @@ class TestStandardErrors:
 
     @pytest.mark.parametrize("model", ["m2", "m3"])
     def test_two_score_calls_per_free_parameter(self, monkeypatch, model):
+        # one call scores every probe, theta + h e_i and theta - h e_i
         res = _vannman_fit(model)
-        calls = _counting_objective(monkeypatch)
+        calls = _counting_score(monkeypatch)
         compute_se(vannman_data(), res)
-        free = set(res.std_errors) - set(res.boundary_flags)
-        assert len(calls) == 2 * len(free)
+        names = list(res.std_errors)
+        free = [i for i, nm in enumerate(names) if nm not in res.boundary_flags]
+        assert len(calls) == 1 and calls[0].shape == (2 * len(free), len(names))
+        theta = np.array([res.estimates[nm] for nm in names])
+        moved = calls[0] != theta
+        assert moved.sum(axis=1).tolist() == [1] * (2 * len(free))
+        assert moved.argmax(axis=1).tolist() == free + free
 
     def test_rejected_probe_voids_every_standard_error(self, monkeypatch):
         # one rejected probe leaves a NaN in the Hessian, whose inverse
         # can still have finite entries elsewhere on its diagonal
         res = _vannman_fit("m3")
-        _counting_objective(monkeypatch, reject=3)
+        _counting_score(monkeypatch, reject=2)
+        compute_se(vannman_data(), res)
+        assert res.diagnostics["hessian"] == "rejected probe"
+        assert all(math.isnan(se) for se in res.std_errors.values())
+        assert all(math.isnan(pv) for pv in res.p_values.values())
+
+    def test_probe_past_the_parameter_space_is_rejected(self):
+        # the GFGM M3 fit has rho-hat on 1; unflagged by hand, rho's probe
+        # lies past 1, where the kernel still returns a finite score
+        res = _vannman_fit("m3")
+        assert res.estimates["rho"] == 1.0
+        res.boundary_flags.remove("rho")
         compute_se(vannman_data(), res)
         assert res.diagnostics["hessian"] == "rejected probe"
         assert all(math.isnan(se) for se in res.std_errors.values())
@@ -746,22 +765,51 @@ class TestStandardErrors:
         # with the score's sign flipped the optimum is a minimum, whose
         # observed information is negative definite
         res = _vannman_fit("m2")
-        build = fitting._objective
+        build = fitting._member_score
 
         def flipped(*args):
-            objective = build(*args)
+            score = build(*args)
 
-            def negated(theta):
-                ll, g = objective(theta)
-                return ll, -g
+            def negated(points):
+                logf, g = score(points)
+                return logf, -g
 
             return negated
 
-        monkeypatch.setattr(fitting, "_objective", flipped)
+        monkeypatch.setattr(fitting, "_member_score", flipped)
         compute_se(vannman_data(), res)
         assert res.diagnostics["hessian"] == "not positive definite"
         assert all(math.isnan(se) for se in res.std_errors.values())
         assert all(math.isnan(pv) for pv in res.p_values.values())
+
+    @pytest.mark.parametrize("model", ["m2", "m3", "m3-gaussian"])
+    def test_score_rows_equal_the_objective_at_each_point(self, model):
+        # the K-row score is the objective's, point by point: rows on the
+        # plateau, past the square, and a rejected point. It is so bit for
+        # bit for GFGM; the Gaussian dlog c/drho takes D**2, which numpy
+        # rounds differently for a 0-d D and an array, in the last bit
+        data = vannman_data()
+        if model == "m2":
+            args = ("m2", data)
+            theta = np.array([1.9, 0.7, 0.4])
+        else:
+            family = "gaussian" if model == "m3-gaussian" else "gfgm"
+            args = ("m3", data, 1.4, family, 1.0, 1.0)
+            theta = np.array([2.7, 7.7, 1.0, 3.3, 0.6, 0.58])
+        rng = np.random.default_rng(3)
+        points = theta * np.exp(0.1 * rng.standard_normal((6, len(theta))))
+        points[-1, 0] = -1.0
+        _, g = fitting._member_score(*args)(points)
+        objective = _objective(*args)
+        for point, row in zip(points, g):
+            ll, score = objective(point)
+            if ll == -np.inf:
+                assert np.isnan(row).all()
+            elif model == "m3-gaussian":
+                np.testing.assert_allclose(row, score, rtol=1e-13, atol=0)
+            else:
+                assert np.array_equal(row, score)
+        assert np.isnan(g[-1]).all()
 
 
 def _vannman_board_21_x(value):
