@@ -4,14 +4,14 @@ The full mixture model (M3) is fitted in two stages: the rectangle side d
 is plugged in from the origin cluster found by DBSCAN, then the remaining
 parameters are maximized by projected Newton in a box (see ``_fit``):
 shapes and scales on a log scale, p on a logit scale and rho as itself.
-The Hessian of each Newton step, like the observed information behind
-the standard errors, is the central-difference Jacobian of the analytic
-score, whose probes are scored in one kernel call. Comparison models: M1
-(independent exponential margins, closed form) and M2 (FGM-coupled
-exponential margins). M2 is M3 with fixed values: shapes 1, a GFGM(rho,
-1, 1) copula and no uniform component. Its likelihood is the log-space
-density kernel that M3's bulk density uses (bivariate._log_density), and
-it is fitted by the same stage-2 code.
+Each evaluation is one call of the log-space density kernel on a point
+and its probes: log-likelihood, analytic score, and the central
+difference of the score as Hessian, like the observed information behind
+the standard errors. M3 reports ``loglik_mbw`` at its estimates.
+Comparison models: M1 (independent exponential margins, closed form) and
+M2 (FGM-coupled exponential margins). M2 is M3 with fixed values: shapes
+1, a GFGM(rho, 1, 1) copula and no uniform component, fitted by the same
+stage-2 code on the same kernel.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -28,9 +28,8 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     DomainError,
-    SingularityError,
 )
-from .mixture import MbwParams, _copula, mbw_params
+from .mixture import PARAM_NAMES, MbwParams, _copula, mbw_params
 from .sampler import SeededStream
 from .univariate import RectUniform
 
@@ -106,8 +105,10 @@ def loglik_mbw(data, m: MbwParams) -> float:
     axes (ties at zero in the origin case) carry no density information
     in the continuous formulation and are excluded, matching the strict
     inequalities of the estimation procedure. Returns -inf when an
-    outside point sits where the bulk density vanishes; raises
-    SingularityError when one sits on an axis where it is unbounded.
+    outside point sits where the bulk density vanishes, or where its
+    density, formed in linear space, underflows; raises SingularityError
+    when one sits on an axis where it is unbounded. Stage 2's search sums
+    the same terms in log space and calls this once, for M3's reported value.
     """
     data = _as_data(data)
     x, y = data[:, 0], data[:, 1]
@@ -215,15 +216,15 @@ def _free_slope(kinds, theta) -> np.ndarray:
 
 
 def _member_score(model, data, d=None, family=None, a=None, b=None):
-    """The score of member ``model`` on ``data`` over its free parameters
-    in ``_MEMBERS`` order; M3 also takes its plugged-in d and its copula. A
-    bad setting (model, family, GFGM exponent, d) raises DomainError here,
-    once. The function returned maps a point to the log f of the rows the
-    likelihood counts (all rows for M2) and the score; a (K, |free|) array
-    of points, in one kernel call, to (K, n) log f and (K, |free|) scores,
-    a row NaN where its point lies past the edge of the parameter space, a
-    row past the square has no density, or the score is not finite. The
-    caller silences the warnings."""
+    """The log-likelihood and score of member ``model`` on ``data`` over its
+    free parameters in ``_MEMBERS`` order; M3 also takes its plugged-in d and
+    its copula. A bad setting (model, family, GFGM exponent, d) raises
+    DomainError here, once. The function returned maps a (K, |free|) array
+    of points, in one kernel call and without a warning, to K
+    log-likelihoods, summed in log space over the rows ``loglik_mbw``
+    counts (all rows for M2), and (K, |free|) scores; both NaN for a point
+    past the edge of the parameter space, with a row past the square
+    without a finite log f, or with a score that is not finite."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
         past, c = np.ones(len(x), bool), GfgmParams(0.0)
@@ -238,60 +239,75 @@ def _member_score(model, data, d=None, family=None, a=None, b=None):
     lo, hi = np.array([_KINDS[k][4] for k in _MEMBERS[model][0].values()]).T
 
     def score(points):
-        # one point's values as scalars, the kernel's one-point call that the
-        # fit keeps bit for bit; K points' values as (K, 1) columns
-        cols = points.T[:, :, None] if points.ndim == 2 else points
-        if model == "m2":
-            # one pass in log space, so a row whose density underflows still
-            # counts; M2 has no shape columns, which are -inf on a row with a zero
-            b1, b2, rho = cols
-            logf, S = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
-            g = S[..., [1, 3, 4]].sum(axis=-2)
-        else:
-            logf, S = _log_density_score(x, y, cols[:5], c)
-            p = cols[5]
-            # a row on the plateau weighs its bulk score by its bulk share
-            # q f / (p/d^2 + q f); a row past the square has share 1
-            w = np.where(past, 1.0, expit(np.log((1.0 - p) / p) + logf + 2 * np.log(d)))
-            # a row whose share underflowed has no bulk density left to
-            # differentiate, and its score may be NaN
-            S[w == 0] = 0.0
-            dp = np.sum((1 - w) / p - w / (1.0 - p), axis=-1)
-            g = np.concatenate([(w[..., None, :] @ S)[..., 0, :], dp[..., None]], axis=-1)
-        if points.ndim == 2:
-            g[((points < lo) | (points > hi)).any(axis=1) | np.isinf(logf[:, past]).any(axis=1)
-              | ~np.isfinite(g).all(axis=1)] = np.nan
-        return logf, g
+        # the points' values as (K, 1) columns against the rows
+        cols = points.T[:, :, None]
+        with np.errstate(all="ignore"):
+            if model == "m2":
+                # M2 has no shape columns, which are -inf on a row with a zero
+                b1, b2, rho = cols
+                logf, S = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
+                ll = logf.sum(axis=1)
+                g = S[..., [1, 3, 4]].sum(axis=-2)
+            else:
+                logf, S = _log_density_score(x, y, cols[:5], c)
+                p = cols[5]
+                # the logs of the plateau's density p/d^2 and of the bulk's q f
+                plateau, bulk = np.log(p) - 2 * np.log(d), np.log1p(-p) + logf
+                ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum(axis=1)
+                # a row on the plateau weighs its bulk score by its bulk share
+                # q f / (p/d^2 + q f); a row past the square has share 1
+                w = np.where(past, 1.0, expit(bulk - plateau))
+                # a row whose share underflowed has no bulk density left to
+                # differentiate, and its score may be NaN
+                S[w == 0] = 0.0
+                dp = np.sum((1 - w) / p - w / (1.0 - p), axis=-1)
+                g = np.concatenate([(w[..., None, :] @ S)[..., 0, :], dp[..., None]], axis=-1)
+            bad = (((points < lo) | (points > hi)).any(axis=1)
+                   | np.isinf(logf[:, past]).any(axis=1) | ~np.isfinite(g).all(axis=1))
+        ll[bad], g[bad] = np.nan, np.nan
+        return ll, g
 
     return score
 
 
+def _probes(center, free, lo=-np.inf, hi=np.inf) -> tuple:
+    """The central-difference probes of ``center`` over its coordinates
+    ``free``, two per coordinate i, center +- h e_i with h = 1e-4
+    max(|center_i|, 1), a pair that would leave the box [lo, hi] moved along
+    its axis into it; and the map from the gradients at the probes, over
+    those coordinates, to their symmetrised Jacobian, NaN in the row and
+    column of a rejected probe."""
+    c = center[free]
+    h = 1e-4 * np.maximum(np.abs(c), 1.0)
+    lo, hi = (np.broadcast_to(v, center.shape)[free] for v in (lo, hi))
+    mid = np.clip(c, lo + h, hi - h) - c
+    axes = np.eye(len(center))[free]
+
+    def hessian(g):
+        H = (g[: len(h)] - g[len(h):]) / (2 * h[:, None])
+        return (H + H.T) / 2
+
+    return center + np.vstack([axes * (mid + h)[:, None], axes * (mid - h)[:, None]]), hessian
+
+
 def _objective(model, data, d=None, family=None, a=None, b=None):
-    """The log-likelihood and ``_member_score``'s score, with its arguments,
-    as a function of one point; M3's log-likelihood is ``loglik_mbw``'s. It
-    maps a point to (-inf, None) where the model is undefined, has no
-    density, or overflows."""
+    """Stage 2's evaluator, on ``_member_score``'s arguments: a map from a
+    point z of the optimizer's coordinates and the search box [lo, hi] to
+    the log-likelihood, gradient and Hessian (``_probes``) at z, from one
+    kernel call on z and its 2m probes; (-inf, 0, None) where the
+    log-likelihood or the score at z is not finite."""
+    kinds = list(_MEMBERS[model][0].values())
     score = _member_score(model, data, d, family, a, b)
 
-    def objective(theta):
-        try:
-            # an overflow rejects the point instead of warning
-            with np.errstate(over="raise", invalid="raise"):
-                if model == "m2":
-                    # rho in FGM's space; a scale at or past 0 has no finite log f
-                    GfgmParams(theta[2])
-                    logf, g = score(theta)
-                    ll = np.sum(logf)
-                else:
-                    ll = loglik_mbw(data, mbw_params(*theta[:5], d, theta[5], family, a, b))
-                    if ll == -np.inf:
-                        return ll, None
-                    g = score(theta)[1]
-        except (SingularityError, DomainError, FloatingPointError):
-            return -np.inf, None
-        if not (np.isfinite(ll) and np.all(np.isfinite(g))):
-            return -np.inf, None
-        return float(ll), g
+    def objective(z, lo=-np.inf, hi=np.inf):
+        probes, hessian = _probes(z, np.arange(len(z)), lo, hi)
+        with np.errstate(all="ignore"):
+            theta = _from_free(kinds, np.vstack([z, probes]))
+            ll, g = score(theta)
+            g = g * _free_slope(kinds, theta)
+        if not np.isfinite(ll[0]):
+            return -np.inf, np.zeros(len(z)), None
+        return float(ll[0]), g[0], hessian(g[1:])
 
     return objective
 
@@ -359,25 +375,6 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
     return np.array([guess[nm] for nm in _MEMBERS[model][0]])
 
 
-def _probe_hessian(score, center, free, lo=-np.inf, hi=np.inf) -> np.ndarray:
-    """The symmetrised central-difference Jacobian over the coordinates
-    ``free`` of ``score``, a map from a (K, m) array of points to their
-    gradients, at ``center``: two probes per free coordinate i, center +-
-    h e_i with h = 1e-4 max(|center_i|, 1), scored in one call. A pair that
-    would leave the box [lo, hi] moves along its axis into it. A rejected
-    probe leaves NaN in the Hessian."""
-    c = center[free]
-    h = 1e-4 * np.maximum(np.abs(c), 1.0)
-    lo, hi = (np.broadcast_to(v, center.shape)[free] for v in (lo, hi))
-    mid = np.clip(c, lo + h, hi - h) - c
-    axes = np.eye(len(center))[free]
-    probes = center + np.vstack([axes * (mid + h)[:, None], axes * (mid - h)[:, None]])
-    with np.errstate(all="ignore"):
-        g = score(probes)[:, free]
-    H = (g[: len(free)] - g[len(free):]) / (2 * h[:, None])
-    return (H + H.T) / 2
-
-
 def _damped_step(A, g) -> tuple:
     """The Levenberg-Marquardt step for the finite matrix A: the least lam of
     0, 1e-8 s, 1e-7 s, ..., with s the largest |A_ii| or 1, for which A +
@@ -391,15 +388,15 @@ def _damped_step(A, g) -> tuple:
             lam = max(10 * lam, 1e-8 * s)
 
 
-def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed):
+def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     """Maximize the log-likelihood of member ``model`` from ``theta0`` by
     projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in the
     kinds' coordinates, within the search box of ``_REACH`` and ``_RHO_BOX``.
-    An iteration holds each coordinate on a bound of the box whose gradient
-    points out, takes the others' Hessian from their score
-    (``_probe_hessian``), steps by ``_damped_step``, and halves the step,
-    projected onto the box, until ``objective`` shows its gain; ``n_evals``
-    counts the objective's calls. The fit has converged when the Newton
+    ``n_evals`` counts the calls of the ``_objective`` built here. An
+    iteration holds each coordinate on a bound of the box whose gradient
+    points out, takes the others' block of the last Hessian, steps by
+    ``_damped_step``, and halves the step, projected onto the box, until an
+    evaluation shows its gain. The fit has converged when the Newton
     decrement fell below ``_DECREMENT`` with an undamped Hessian, so
     negative definite over the free coordinates (Nocedal & Wright 2006, Thm.
     2.4), and the box stopped no log or logit coordinate short. ``fixed``
@@ -408,32 +405,25 @@ def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed)
     kinds = list(params.values())
     diagnostics = diagnostics or {}
     get = diagnostics.get
-    score = _member_score(model, data, fixed.get("d"), get("copula_family", "gfgm"),
-                          get("copula_a", 1.0), get("copula_b", 1.0))
+    objective = _objective(model, data, fixed.get("d"), get("copula_family", "gfgm"),
+                           get("copula_a", 1.0), get("copula_b", 1.0))
     n_evals = 0
 
-    def ascent(z):
-        # the log-likelihood and its gradient in the optimizer's coordinates,
-        # zero at a rejected point
+    def ascent(z, *box):
         nonlocal n_evals
         n_evals += 1
-        theta = _from_free(kinds, z)
-        ll, g = objective(theta)
-        return ll, np.zeros(len(z)) if g is None else g * _free_slope(kinds, theta)
+        return objective(z, *box)
 
-    def probe_score(points):
-        theta = _from_free(kinds, points)
-        return score(theta)[1] * _free_slope(kinds, theta)
-
+    # a start's probes lie far inside the box, which is built around it
     z = _to_free(kinds, theta0)
-    ll, g = ascent(z)
+    ll, g, H = ascent(z)
     shape = np.isin(list(params), ("alpha1", "alpha2"))
     if shape.any() and ll == -np.inf:
         # a start's shapes can be rejected only in pathological data, such
-        # as a far outlier whose density underflows; retry from shapes just
-        # above 1
+        # as a far outlier whose exponent (x/beta)^alpha overflows; retry
+        # from shapes just above 1
         z = _to_free(kinds, np.where(shape, 1.05, theta0))
-        ll, g = ascent(z)
+        ll, g, H = ascent(z)
     rho_box = _RHO_BOX[get("copula_family", "gfgm")]
     lo, hi = np.array([rho_box if kind == "box" else (v - _REACH, v + _REACH)
                        for kind, v in zip(kinds, z)]).T
@@ -441,7 +431,7 @@ def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed)
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
         free = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
-        H = _probe_hessian(probe_score, z, free, lo, hi)
+        H = H[np.ix_(free, free)]
         if not np.isfinite(H).all():
             # a rejected probe leaves no Hessian: the fit stops short
             break
@@ -454,10 +444,10 @@ def _fit(data, model, objective, theta0, compute_ses, diagnostics=None, **fixed)
         at_maximum = last and lam == 0
         for t in 0.5 ** np.arange(1 if last else _HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
-            ll_trial, g_trial = ascent(trial)
+            ll_trial, g_trial, H_trial = ascent(trial, lo, hi)
             gain = ll_trial - ll
             if gain >= 0 if last else gain > 0 and gain >= _ARMIJO * (g @ (trial - z)):
-                z, ll, g = trial, ll_trial, g_trial
+                z, ll, g, H = trial, ll_trial, g_trial, H_trial
                 break
             if n_evals >= _MAX_EVALS:
                 break
@@ -510,7 +500,6 @@ def fit_mbw(
         eps = select_eps(data, min_pts)
     d_hat, c1 = estimate_d(data, DbscanParams(min_pts=min_pts, eps=eps))
 
-    objective = _objective("m3", data, d_hat, copula_family, a, b)
     p0 = np.clip(len(c1) / len(data), 1e-3, 1 - 1e-3)
     diagnostics = {
         "d_hat": d_hat,
@@ -522,7 +511,12 @@ def fit_mbw(
         "copula_b": b,
     }
     theta0 = _start(data, "m3", p0, d_hat, copula_family, a, b)
-    return _fit(data, "m3", objective, theta0, compute_ses, diagnostics, d=d_hat)
+    result = _fit(data, "m3", theta0, compute_ses, diagnostics, d=d_hat)
+    if result.loglik > -np.inf:
+        # the reported value is the public likelihood's at the estimates
+        theta = (result.estimates[nm] for nm in PARAM_NAMES)
+        result.loglik = loglik_mbw(data, mbw_params(*theta, copula_family, a, b))
+    return result
 
 
 def fit_m1(data) -> FitResult:
@@ -547,7 +541,7 @@ def fit_m2(data) -> FitResult:
     """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
     uniform component), fitted over (beta1, beta2, rho)."""
     data = _as_data(data)
-    return _fit(data, "m2", _objective("m2", data), _start(data, "m2"), compute_ses=True)
+    return _fit(data, "m2", _start(data, "m2"), compute_ses=True)
 
 
 def _wald_p(est, se) -> float:
@@ -578,7 +572,8 @@ def compute_se(data, result: FitResult) -> dict:
     names = list(_MEMBERS[result.model][0])
     theta = np.array([result.estimates[k] for k in names])
     free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
-    H = _probe_hessian(lambda points: score(points)[1], theta, free)
+    probes, hessian = _probes(theta, free)
+    H = hessian(score(probes)[1][:, free])
     se = dict.fromkeys(names, float("nan"))
     if not np.all(np.isfinite(H)):
         result.diagnostics["hessian"] = "rejected probe"

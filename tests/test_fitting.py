@@ -72,6 +72,14 @@ def _mix(a1, b1, a2, b2, rho, d, p):
     )
 
 
+def _evaluate(model, data, *settings):
+    # the stage-2 evaluator at a point theta of the member's parameters: the
+    # log-likelihood and its gradient in the optimizer's coordinates
+    kinds = list(fitting._MEMBERS[model][0].values())
+    objective = _objective(model, data, *settings)
+    return lambda theta: objective(_to_free(kinds, theta))[:2]
+
+
 def _m2_loglik(data, theta) -> float:
     # M2's likelihood written out by hand: FGM-coupled exponential margins
     b1, b2, rho = theta
@@ -214,6 +222,59 @@ class TestLoglik:
         else:
             assert ll == expect
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        a1=st.floats(0.3, 20.0), b1=st.floats(0.1, 10.0), a2=st.floats(0.3, 20.0),
+        b2=st.floats(0.1, 10.0), rho=st.floats(-1.0, 1.0), gaussian=st.booleans(),
+        d=st.floats(0.01, 1.0),
+        p=st.one_of(st.sampled_from([1e-12, 1 - 1e-12]), st.floats(1e-12, 1 - 1e-12)),
+        axis_past=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    def test_evaluator_takes_the_likelihood_in_log_space(self, a1, b1, a2, b2, rho, gaussian,
+                                                         d, p, axis_past, seed):
+        # the stage-2 evaluator's log-likelihood, summed from the kernel's
+        # log f, is loglik_mbw's wherever that is finite; where loglik_mbw
+        # raises, or is -inf with no row past the square whose density only
+        # underflowed, the evaluator rejects the point
+        family = "gaussian" if gaussian else "gfgm"
+        rho = 0.999 * rho if gaussian else rho
+        rng = np.random.default_rng(seed)
+        ties = [[0, 0], [0, d / 2], [d / 2, 0], [0, d], [d, 0],
+                [d, d / 2], [d / 2, d], [d, d], [d, 2 * d], [2 * d, d]]
+        if axis_past:
+            ties += [[0, 2 * d], [3 * d, 0]]
+        data = np.vstack([
+            rng.uniform(0, d, (6, 2)),
+            np.column_stack([b1 * rng.weibull(a1, 6), b2 * rng.weibull(a2, 6)]),
+            ties,
+        ])
+        kinds = list(fitting._MEMBERS["m3"][0].values())
+        z = _to_free(kinds, np.array([a1, b1, a2, b2, rho, p]))
+        ll, g, H = _objective("m3", data, d, family, 1.0, 1.0)(z)
+        # the point the evaluator took
+        theta = _from_free(kinds, z)
+        m = mbw_params(*theta[:5], d, theta[5], family, 1.0, 1.0)
+        try:
+            expect = loglik_mbw(data, m)
+        except SingularityError:
+            assert ll == -np.inf and H is None
+            return
+        x, y = data[:, 0], data[:, 1]
+        kept = data[((x > 0) & (y > 0)) | (x > d) | (y > d)]
+        with np.errstate(divide="ignore"):
+            logs = np.log(mbw_pdf(kept[:, 0], kept[:, 1], m))
+        if np.isfinite(expect):
+            assert ll == pytest.approx(expect, rel=1e-12, abs=1e-12 * np.abs(logs).sum())
+            assert np.isfinite(g).all()
+            return
+        past = data[(x > d) | (y > d)]
+        with np.errstate(over="ignore"):
+            A, B = (past[:, 0] / theta[1]) ** theta[0], (past[:, 1] / theta[3]) ** theta[2]
+        underflow = (past > 0).all(axis=1) & np.isfinite(A + B) & (
+            m.q * bvw_pdf(past[:, 0], past[:, 1], m.base) == 0)
+        if not underflow.any():
+            assert ll == -np.inf and H is None
+
 
 class TestEstimateD:
     def test_definition(self):
@@ -301,7 +362,7 @@ class TestFitM2:
         data[2:5, 1] = 0.0
         theta = np.array([b1, b2, rho])
         expect = _m2_loglik(data, theta)
-        assert _objective("m2", data)(theta)[0] == pytest.approx(expect, rel=1e-12, abs=1e-10)
+        assert _evaluate("m2", data)(theta)[0] == pytest.approx(expect, rel=1e-12, abs=1e-10)
 
     def test_underflowing_density_still_counts(self):
         # at beta2 = 0.05 on data of mean 10 some rows' densities fall below
@@ -312,7 +373,7 @@ class TestFitM2:
         A, B = data[:, 0] / b1, data[:, 1] / b2
         logf = -np.log(b1 * b2) - A - B + np.log1p(rho * (2 * np.exp(-A) - 1) * (2 * np.exp(-B) - 1))
         assert np.any(np.exp(logf) == 0)
-        ll, score = _objective("m2", data)(np.array([b1, b2, rho]))
+        ll, score = _evaluate("m2", data)(np.array([b1, b2, rho]))
         assert ll == pytest.approx(np.sum(logf), rel=1e-12)
         assert ll == pytest.approx(-43579.96860956549, rel=1e-12)
         assert np.all(np.isfinite(score))
@@ -353,7 +414,6 @@ class TestFitMbw:
         # jittered starting points land on the same optimum
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        objective = _objective("m3", data, d_hat, "gfgm", 1.0, 1.0)
         kinds = list(fitting._MEMBERS["m3"][0].values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
@@ -362,7 +422,7 @@ class TestFitMbw:
         lls = []
         for _ in range(5):
             z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
-            res = _fit(data, "m3", objective, _from_free(kinds, z0), compute_ses=False, d=d_hat)
+            res = _fit(data, "m3", _from_free(kinds, z0), compute_ses=False, d=d_hat)
             lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
@@ -393,26 +453,51 @@ class TestFitMbw:
             fit_mbw(np.random.default_rng(0).random((5, 2)))
 
     def test_start_retry_from_shapes_near_one(self, monkeypatch):
-        # x = 150 sits ~95 margin means out: at the start's shapes, about 1.6
-        # and 1.8, its density underflows to 0, so the fit restarts from
-        # shapes 1.05 with the start's scales and rho
-        rng = np.random.default_rng(3)
-        data = np.column_stack([rng.weibull(2.0, 200), rng.weibull(2.0, 200)])
-        data[:30] = rng.uniform(0, 0.05, (30, 2))
-        data[-1, 0] = 150.0
-        calls = []
-
-        def spy(d, m):
-            ll = loglik_mbw(d, m)
-            calls.append((m.base.margin1.shape, m.base.margin2.shape, ll))
-            return ll
-
-        monkeypatch.setattr(fitting, "loglik_mbw", spy)
-        res = fit_mbw(data, eps=0.05)
+        # x = 1e250 sits so far out that at the start's shapes, about 1.6
+        # and 1.8, its exponent (x/beta1)^alpha1 overflows, while at 1.05 it
+        # is about 1e262: the fit restarts from shapes 1.05 with the start's
+        # scales and rho. The data-driven start never puts a shape there,
+        # since its Weibull plot takes the outlier in, so the fit starts
+        # from the start of the data without it
+        data = _outlier_sample(150.0)
         d_hat, c1 = estimate_d(data, DbscanParams(4, 0.05))
         start = _start(data, "m3", len(c1) / len(data), d_hat)
-        assert calls[0] == pytest.approx((start[0], start[2], -np.inf))
-        assert calls[1] == pytest.approx((1.05, 1.05, -361.81), abs=0.01)
+        data[-1, 0] = 1e250
+        log_x = np.log(data[-1, 0] / start[1])
+        assert start[0] * log_x > np.log(np.finfo(float).max) > 1.05 * log_x
+        points = _counting_score(monkeypatch)
+        # the fit would spend its whole budget on alpha1 falling toward 0
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 4)
+        res = _fit(data, "m3", start, compute_ses=False, d=d_hat)
+        retry = start.copy()
+        retry[[0, 2]] = 1.05
+        assert res.n_evals == len(points) == 4
+        np.testing.assert_allclose(points[0][0], start, rtol=1e-12)
+        np.testing.assert_allclose(points[1][0], retry, rtol=1e-12)
+        assert np.isfinite(res.loglik) and res.loglik < -1e200
+
+    def test_far_outlier_start_counts_in_log_space(self):
+        # x = 150 sits ~95 margin means out: at the start's shapes, about 1.6
+        # and 1.8, its density underflows to 0, and the evaluator sums its
+        # log f in log space, where the start is a point like any other
+        data = _outlier_sample(150.0)
+        d_hat, c1 = estimate_d(data, DbscanParams(4, 0.05))
+        theta = _start(data, "m3", len(c1) / len(data), d_hat)
+        a1, b1, a2, b2, rho, p = theta
+        x, y = data[:, 0], data[:, 1]
+        past = (x > d_hat) | (y > d_hat)
+        keep = past | ((x > 0) & (y > 0))
+        x, y, past = x[keep], y[keep], past[keep]
+        A, B = (x / b1) ** a1, (y / b2) ** a2
+        logf = (np.log(a1 / b1 * a2 / b2) + (a1 - 1) * np.log(x / b1) + (a2 - 1) * np.log(y / b2)
+                - A - B + np.log1p(rho * (2 * np.exp(-A) - 1) * (2 * np.exp(-B) - 1)))
+        assert np.any(np.exp(logf) == 0)
+        bulk = np.log(1 - p) + logf
+        expect = bulk[past].sum() + np.logaddexp(np.log(p / d_hat**2), bulk[~past]).sum()
+        ll, score = _evaluate("m3", data, d_hat, "gfgm", 1.0, 1.0)(theta)
+        assert ll == pytest.approx(expect, rel=1e-12)
+        assert np.all(np.isfinite(score))
+        res = fit_mbw(data, eps=0.05)
         assert res.converged
         assert res.loglik == pytest.approx(-250.81, abs=0.01)
 
@@ -422,6 +507,20 @@ class TestFitMbw:
         assert payload["model"] == "m1"
         assert payload["aic"] == pytest.approx(res.aic)
         assert set(payload["estimates"]) == {"beta1", "beta2"}
+
+
+# the criterion-5 truth with its Gaussian copula
+_CRITERION_5_GAUSSIAN = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
+
+
+def _outlier_sample(x):
+    # an origin cluster of 30 rows in [0, 0.05]^2 and 170 Weibull(2) pairs,
+    # the last with first coordinate x
+    rng = np.random.default_rng(3)
+    data = np.column_stack([rng.weibull(2.0, 200), rng.weibull(2.0, 200)])
+    data[:30] = rng.uniform(0, 0.05, (30, 2))
+    data[-1, 0] = x
+    return data
 
 
 def _origin_cluster_and_column(x):
@@ -514,40 +613,37 @@ class TestOptimizer:
         assert res.converged
 
     def test_counts_and_the_score_left(self, monkeypatch):
-        # n_evals counts the objective's calls, each one loglik_mbw call for
-        # M3, and iterations the Hessians, each one K-row score call
+        # n_evals counts the evaluator's calls, each one kernel call on the
+        # point and the 2 x 6 probes of its Hessian, and iterations the
+        # Newton steps; loglik_mbw runs once, for the reported value
         lls, hessians = [], []
-        loglik, build = fitting.loglik_mbw, fitting._member_score
+        loglik, step = fitting.loglik_mbw, fitting._damped_step
 
         def spy_loglik(d, m):
             lls.append(loglik(d, m))
             return lls[-1]
 
-        def spy_build(*args):
-            score = build(*args)
-
-            def spy(points):
-                if points.ndim == 2:
-                    hessians.append(points)
-                return score(points)
-
-            return spy
+        def spy_step(A, g):
+            hessians.append(A)
+            return step(A, g)
 
         monkeypatch.setattr(fitting, "loglik_mbw", spy_loglik)
-        monkeypatch.setattr(fitting, "_member_score", spy_build)
+        monkeypatch.setattr(fitting, "_damped_step", spy_step)
+        calls = _counting_score(monkeypatch)
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
-        assert res.n_evals == len(lls) and res.iterations == len(hessians)
-        assert res.loglik == max(lls)
-        # rho sits on its bound with its gradient pointing out: held, so it
-        # has no probes, and the Hessian spans the other five
+        assert res.n_evals == len(calls) and res.iterations == len(hessians)
+        assert all(points.shape == (13, 6) for points in calls)
+        assert len(lls) == 1 and res.loglik == lls[0]
+        # rho sits on its bound with its gradient pointing out: held, so the
+        # step's Hessian spans the other five
         assert res.boundary_flags == ["rho"] and res.estimates["rho"] == 1.0
-        assert hessians[-1].shape == (10, 6)
+        assert hessians[-1].shape == (5, 5)
         # the score left at the end, in the optimizer's coordinates, over
         # every parameter but the flagged rho
         kinds = list(fitting._MEMBERS["m3"][0].values())
         theta = np.array([res.estimates[nm] for nm in fitting._MEMBERS["m3"][0]])
-        _, score = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(theta)
-        g = np.delete(np.abs(score * fitting._free_slope(kinds, theta)), 4)
+        _, score = fitting._member_score("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(theta[None])
+        g = np.delete(np.abs(score[0] * fitting._free_slope(kinds, theta)), 4)
         assert res.diagnostics["score_max"] == g.max() < 1e-6
         payload = json.loads(json.dumps(res.to_dict()))
         assert payload["diagnostics"]["score_max"] == res.diagnostics["score_max"]
@@ -632,7 +728,8 @@ class TestOptimizer:
             return np.where((points[:, 2:] <= 1.0), -points @ A, np.nan)
 
         center = np.array([0.3, -2.0, 0.99995])
-        H = fitting._probe_hessian(score, center, [0, 2], -1.0, np.array([5.0, 5.0, 1.0]))
+        probes, hessian = fitting._probes(center, [0, 2], -1.0, np.array([5.0, 5.0, 1.0]))
+        H = hessian(score(probes)[:, [0, 2]])
         np.testing.assert_allclose(H, -A[np.ix_([0, 2], [0, 2])], rtol=1e-9)
         assert seen[0][:, 2].max() <= 1.0
 
@@ -649,17 +746,48 @@ class TestOptimizer:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_rejected_point(self):
-        # every margin probability underflows, where the Gaussian copula
-        # density at rho = 1 - 1e-6 overflows in linear space: the log-space
-        # density is 0 there, without a warning (an error in these tests),
-        # and the objective rejects the point
-        truth = mbw_params(4.0, 1.5, 3.5, 5.0, 0.6, 0.1, 0.3, "gaussian", 1.0, 1.0)
-        data = sample_mbw(100, truth, SeededStream(1))
-        theta = (1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3)
+        # at beta1 = 0.01 the exponent (x/beta1)^1000 of every row past the
+        # square overflows, and the bulk density is 0 there: the evaluator
+        # rejects the point without a warning (an error in these tests)
+        data = sample_mbw(100, _CRITERION_5_GAUSSIAN, SeededStream(1))
+        theta = (1000.0, 0.01, 1000.0, 50.0, 1 - 1e-6, 0.3)
+        kinds = list(fitting._MEMBERS["m3"][0].values())
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
-        assert objective(np.array(theta)) == (-np.inf, None)
+        ll, g, H = objective(_to_free(kinds, np.array(theta)))
+        assert ll == -np.inf and not g.any() and H is None
         m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
         assert loglik_mbw(data, m) == -np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_copula_density_counts_in_log_space(self):
+        # every margin probability underflows and counts as the smallest
+        # normal float, where the Gaussian copula density at rho = 1 - 1e-6
+        # is about e^710 and overflows in linear space: loglik_mbw is -inf,
+        # and the evaluator sums the rows' log f. At this rho 1 - rho^2
+        # cancels, and the two sums keep about 11 digits
+        data = sample_mbw(100, _CRITERION_5_GAUSSIAN, SeededStream(1))
+        theta = np.array((1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3))
+        m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
+        assert loglik_mbw(data, m) == -np.inf
+        a1, b1, a2, b2, rho, p = theta
+        x, y = data[:, 0], data[:, 1]
+        past = (x > 0.1) | (y > 0.1)
+        keep = past | ((x > 0) & (y > 0))
+        x, y, past = x[keep], y[keep], past[keep]
+        tiny = np.finfo(float).tiny
+        z1 = stats.norm.ppf(np.maximum(stats.weibull_min.cdf(x, a1, scale=b1), tiny))
+        z2 = stats.norm.ppf(np.maximum(stats.weibull_min.cdf(y, a2, scale=b2), tiny))
+        normal = stats.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]])
+        logf = (stats.weibull_min.logpdf(x, a1, scale=b1)
+                + stats.weibull_min.logpdf(y, a2, scale=b2)
+                + normal.logpdf(np.column_stack([z1, z2]))
+                - stats.norm.logpdf(z1) - stats.norm.logpdf(z2))
+        bulk = np.log(1 - p) + logf
+        expect = bulk[past].sum() + np.logaddexp(np.log(p / 0.01), bulk[~past]).sum()
+        ll, score = _evaluate("m3", data, 0.1, "gaussian", 1.0, 1.0)(theta)
+        assert ll == pytest.approx(expect, rel=1e-10)
+        assert ll == pytest.approx(-268502.5976443731, rel=1e-12)
+        assert np.all(np.isfinite(score))
 
 
 def _quantile_rows(rng, shapes, scales, n):
@@ -667,6 +795,17 @@ def _quantile_rows(rng, shapes, scales, n):
     # stays below 4.6
     u = rng.uniform(0.01, 0.99, (n, 2))
     return np.asarray(scales) * (-np.log1p(-u)) ** (1 / np.asarray(shapes))
+
+
+def _difference_gradient(objective, z):
+    # the central difference of the evaluator's log-likelihood at z, with
+    # steps 1e-6 max(|z_i|, 1)
+    fd = np.empty(len(z))
+    for i in range(len(z)):
+        step = np.zeros(len(z))
+        step[i] = 1e-6 * max(abs(z[i]), 1.0)
+        fd[i] = (objective(z + step)[0] - objective(z - step)[0]) / (2 * step[i])
+    return fd
 
 
 class TestScore:
@@ -689,21 +828,19 @@ class TestScore:
             data = _quantile_rows(rng, (1.0, 1.0), scales, 40)
             data[:3, 0] = 0.0
             data[2:5, 1] = 0.0
-            objective = _objective("m2", data)
+            model, settings = "m2", ()
             theta = np.array([*scales, rho])
         else:
             data = _quantile_rows(rng, shapes, scales, 40)
             d = 0.3 * min(scales)
             data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
-            objective = _objective("m3", data, d, *copula)
+            model, settings = "m3", (d, *copula)
             theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
-        ll, score = objective(theta)
+        objective = _objective(model, data, *settings)
+        z = _to_free(list(fitting._MEMBERS[model][0].values()), theta)
+        ll, score, _ = objective(z)
         assert ll > -np.inf
-        fd = np.empty(len(theta))
-        for i in range(len(theta)):
-            step = np.zeros(len(theta))
-            step[i] = 1e-6 * max(abs(theta[i]), 1.0)
-            fd[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+        fd = _difference_gradient(objective, z)
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * max(np.abs(score).max(), 1.0))
 
     def test_gaussian_score_in_both_tails(self):
@@ -719,7 +856,7 @@ class TestScore:
         data = _quantile_rows(rng, (2.0, 2.0), (1.0, 1.0), 20)
         data[0] = np.sqrt([1e-13, 1e-2])
         data[1] = np.sqrt([45.0, 1.0])
-        ll, score = _objective("m3", data, 0.2, "gaussian", 1.0, 1.0)(
+        ll, score = _evaluate("m3", data, 0.2, "gaussian", 1.0, 1.0)(
             np.array([2.0, 1.0, 2.0, 1.0, 0.6, 0.3]))
         assert np.isfinite(ll) and np.all(np.isfinite(score))
 
@@ -734,13 +871,9 @@ class TestScore:
             np.column_stack([np.repeat([2.0, 1.5, 1.2, 1.1], 5), rng.uniform(0.5, 2.0, 20)]),
         ])
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
-        theta = np.array([alpha1, 0.6, 2.0, 1.0, 0.6, 0.5])
-        ll, score = objective(theta)
-        fd = np.empty(6)
-        for i in range(6):
-            step = np.zeros(6)
-            step[i] = 1e-6 * max(abs(theta[i]), 1.0)
-            fd[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+        z = _to_free(list(fitting._MEMBERS["m3"][0].values()), [alpha1, 0.6, 2.0, 1.0, 0.6, 0.5])
+        ll, score, _ = objective(z)
+        fd = _difference_gradient(objective, z)
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * np.abs(score).max())
 
 
@@ -755,10 +888,10 @@ def _counting_score(monkeypatch, reject=None):
 
         def counted(points):
             calls.append(points)
-            logf, g = score(points)
+            ll, g = score(points)
             if reject is not None:
                 g[reject] = np.nan
-            return logf, g
+            return ll, g
 
         return counted
 
@@ -829,8 +962,8 @@ class TestStandardErrors:
             score = build(*args)
 
             def negated(points):
-                logf, g = score(points)
-                return logf, -g
+                ll, g = score(points)
+                return ll, -g
 
             return negated
 
@@ -842,10 +975,9 @@ class TestStandardErrors:
 
     @pytest.mark.parametrize("model", ["m2", "m3", "m3-gaussian"])
     def test_score_rows_equal_the_objective_at_each_point(self, model):
-        # the K-row score is the objective's, point by point: rows on the
-        # plateau, past the square, and a rejected point. It is so bit for
-        # bit for GFGM; the Gaussian dlog c/drho takes D**2, which numpy
-        # rounds differently for a 0-d D and an array, in the last bit
+        # a K-point call gives each point the log-likelihood and score that
+        # a call on that point alone gives, bit for bit: rows on the plateau,
+        # past the square, and a rejected point
         data = vannman_data()
         if model == "m2":
             args = ("m2", data)
@@ -857,17 +989,14 @@ class TestStandardErrors:
         rng = np.random.default_rng(3)
         points = theta * np.exp(0.1 * rng.standard_normal((6, len(theta))))
         points[-1, 0] = -1.0
-        _, g = fitting._member_score(*args)(points)
-        objective = _objective(*args)
-        for point, row in zip(points, g):
-            ll, score = objective(point)
-            if ll == -np.inf:
-                assert np.isnan(row).all()
-            elif model == "m3-gaussian":
-                np.testing.assert_allclose(row, score, rtol=1e-13, atol=0)
-            else:
-                assert np.array_equal(row, score)
-        assert np.isnan(g[-1]).all()
+        score = fitting._member_score(*args)
+        ll, g = score(points)
+        for point, value, row in zip(points, ll, g):
+            alone = score(point[None])
+            assert np.array_equal([value], alone[0], equal_nan=True)
+            assert np.array_equal(row[None], alone[1], equal_nan=True)
+        assert np.isfinite(ll[:-1]).all() and np.isfinite(g[:-1]).all()
+        assert np.isnan(ll[-1]) and np.isnan(g[-1]).all()
 
 
 def _vannman_board_21_x(value):
