@@ -149,10 +149,10 @@ def _log_density_score(x, y, theta, c):
             kA, kB = rho * kA * gB / den, rho * kB * gA / den
             S[..., 4] = gA * gB / den
         else:
-            D = 1 - rho * rho
+            D = (1 - rho) * (1 + rho)
             kA = rho * (gB - rho * gA) / D * kA
             kB = rho * (gA - rho * gB) / D * kB
-            S[..., 4] = rho / D + (gA * gB * (1 + rho * rho) - rho * (gA * gA + gB * gB)) / D**2
+            S[..., 4] = rho / D + ((1 - rho) ** 2 * gA * gB - rho * (gA - gB) ** 2) / D**2
         for i, (E, L, k, alpha, beta) in enumerate(((A, LA, kA, a1, b1), (B, LB, kB, a2, b2))):
             # dE/dalpha = E log(t/beta) and dE/dbeta = -(alpha/beta) E
             S[..., 2 * i] = 1 / alpha + L * (1 - E) + k * L

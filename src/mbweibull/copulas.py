@@ -204,9 +204,11 @@ def copula_density(u, v, c: CopulaSpec):
 
 
 def _gaussian_log_c(z1, z2, rho):
-    """log of the Gaussian copula density at the normal scores z1, z2."""
-    D = 1 - rho * rho
-    return -(rho * rho * (z1 * z1 + z2 * z2) - 2 * rho * z1 * z2) / (2 * D) - 0.5 * np.log(D)
+    """log of the Gaussian copula density at the normal scores z1, z2, in a
+    form that does not cancel near |rho| = 1 or where z1 = z2."""
+    D = (1 - rho) * (1 + rho)
+    return (-rho * (z1 - z2) ** 2 / (2 * D) + rho * (z1 * z1 + z2 * z2) / (2 * (1 + rho))
+            - 0.5 * np.log(D))
 
 
 def conditional_cdf(v, u, c: CopulaSpec):

@@ -6,8 +6,9 @@ parameters are maximized by projected Newton in a box (see ``_fit``):
 shapes and scales on a log scale, p on a logit scale and rho as itself.
 Each evaluation is one call of the log-space density kernel on a point
 and its probes: log-likelihood, analytic score, and the central
-difference of the score as Hessian, like the observed information behind
-the standard errors. M3 reports ``loglik_mbw`` at its estimates.
+difference of the score as Hessian; the final evaluation's Hessian is the
+observed information behind the standard errors. M3 reports
+``loglik_mbw`` at its estimates.
 Comparison models: M1 (independent exponential margins, closed form) and
 M2 (FGM-coupled exponential margins). M2 is M3 with fixed values: shapes
 1, a GFGM(rho, 1, 1) copula and no uniform component, fitted by the same
@@ -171,8 +172,8 @@ _KINDS = {
 
 # A parameter closer than this to the edge of its space is on its boundary:
 # the fit flags it and compute_se holds it fixed. The central-difference
-# step of an unflagged parameter's score, 1e-4 for |t| <= 1, then never
-# leaves the space.
+# step of an unflagged rho, 1e-4, then never leaves the space, which a log
+# or logit coordinate cannot leave.
 _BOUNDARY_GAP = 1e-3
 
 # The nested family M2 within M3, by model name: the free parameters and
@@ -270,18 +271,15 @@ def _member_score(model, data, d=None, family=None, a=None, b=None):
     return score
 
 
-def _probes(center, free, lo=-np.inf, hi=np.inf) -> tuple:
-    """The central-difference probes of ``center`` over its coordinates
-    ``free``, two per coordinate i, center +- h e_i with h = 1e-4
-    max(|center_i|, 1), a pair that would leave the box [lo, hi] moved along
-    its axis into it; and the map from the gradients at the probes, over
-    those coordinates, to their symmetrised Jacobian, NaN in the row and
-    column of a rejected probe."""
-    c = center[free]
-    h = 1e-4 * np.maximum(np.abs(c), 1.0)
-    lo, hi = (np.broadcast_to(v, center.shape)[free] for v in (lo, hi))
-    mid = np.clip(c, lo + h, hi - h) - c
-    axes = np.eye(len(center))[free]
+def _probes(center, lo=-np.inf, hi=np.inf) -> tuple:
+    """The central-difference probes of ``center``, two per coordinate i,
+    center +- h e_i with h = 1e-4 max(|center_i|, 1), a pair that would leave
+    the box [lo, hi] moved along its axis into it; and the map from the
+    gradients at the probes to their symmetrised Jacobian, NaN in the row
+    and column of a rejected probe."""
+    h = 1e-4 * np.maximum(np.abs(center), 1.0)
+    mid = np.clip(center, lo + h, hi - h) - center
+    axes = np.eye(len(center))
 
     def hessian(g):
         H = (g[: len(h)] - g[len(h):]) / (2 * h[:, None])
@@ -294,19 +292,19 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
     """Stage 2's evaluator, on ``_member_score``'s arguments: a map from a
     point z of the optimizer's coordinates and the search box [lo, hi] to
     the log-likelihood, gradient and Hessian (``_probes``) at z, from one
-    kernel call on z and its 2m probes; (-inf, 0, None) where the
+    kernel call on z and its 2m probes; (-inf, 0, NaN) where the
     log-likelihood or the score at z is not finite."""
-    kinds = list(_MEMBERS[model][0].values())
     score = _member_score(model, data, d, family, a, b)
+    kinds = list(_MEMBERS[model][0].values())
 
     def objective(z, lo=-np.inf, hi=np.inf):
-        probes, hessian = _probes(z, np.arange(len(z)), lo, hi)
+        probes, hessian = _probes(z, lo, hi)
         with np.errstate(all="ignore"):
             theta = _from_free(kinds, np.vstack([z, probes]))
             ll, g = score(theta)
             g = g * _free_slope(kinds, theta)
         if not np.isfinite(ll[0]):
-            return -np.inf, np.zeros(len(z)), None
+            return -np.inf, np.zeros(len(z)), np.full((len(z),) * 2, np.nan)
         return float(ll[0]), g[0], hessian(g[1:])
 
     return objective
@@ -356,6 +354,14 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
     plain start it reached p near 0.
     """
     x, y = data[:, 0], data[:, 1]
+    if model == "m3":
+        past = (x > d) | (y > d)
+        xp, yp = x[past], y[past]
+        margins = [t[t > 0] for t in (xp, yp)]
+        if all(len(np.unique(t)) >= 2 for t in margins):
+            (a1, b1), (a2, b2) = map(_weibull_plot, margins)
+            rho = _rho_from_spearman(_spearman(xp, yp), family, a, b)
+            return np.array([a1, b1, a2, b2, rho, p])
     guess = {
         "alpha1": 1.5,
         "beta1": x.mean() or 1.0,
@@ -364,14 +370,6 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
         "rho": float(np.clip(_spearman(x, y), -0.95, 0.95)),
         "p": p,
     }
-    if model == "m3":
-        past = (x > d) | (y > d)
-        xp, yp = x[past], y[past]
-        margins = [t[t > 0] for t in (xp, yp)]
-        if all(len(np.unique(t)) >= 2 for t in margins):
-            (a1, b1), (a2, b2) = map(_weibull_plot, margins)
-            rho = _rho_from_spearman(_spearman(xp, yp), family, a, b)
-            guess.update(alpha1=a1, beta1=b1, alpha2=a2, beta2=b2, rho=rho)
     return np.array([guess[nm] for nm in _MEMBERS[model][0]])
 
 
@@ -396,11 +394,13 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     iteration holds each coordinate on a bound of the box whose gradient
     points out, takes the others' block of the last Hessian, steps by
     ``_damped_step``, and halves the step, projected onto the box, until an
-    evaluation shows its gain. The fit has converged when the Newton
-    decrement fell below ``_DECREMENT`` with an undamped Hessian, so
-    negative definite over the free coordinates (Nocedal & Wright 2006, Thm.
-    2.4), and the box stopped no log or logit coordinate short. ``fixed``
-    holds the plugged-in parameters reported beside the estimates."""
+    evaluation shows its gain. It stops once the Newton decrement is below
+    ``_DECREMENT``, before that step's evaluation (Boyd & Vandenberghe 2004,
+    Alg. 9.5), and ``compute_se`` takes the Hessian of the last one. The fit
+    has converged when it stopped so with an undamped Hessian, so negative
+    definite over the free coordinates (Nocedal & Wright 2006, Thm. 2.4),
+    and the box stopped no log or logit coordinate short. ``fixed`` holds
+    the plugged-in parameters reported beside the estimates."""
     params, k = _MEMBERS[model]
     kinds = list(params.values())
     diagnostics = diagnostics or {}
@@ -431,30 +431,29 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
         free = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
-        H = H[np.ix_(free, free)]
-        if not np.isfinite(H).all():
+        A = -H[np.ix_(free, free)]
+        if not np.isfinite(A).all():
             # a rejected probe leaves no Hessian: the fit stops short
             break
-        lam, step = _damped_step(-H, g[free])
+        lam, step = _damped_step(A, g[free])
+        # once the decrement is small the quadratic model holds and its step
+        # would gain almost nothing: the fit ends here without evaluating it
+        if g[free] @ step <= _DECREMENT * (1.0 + abs(ll)):
+            at_maximum = lam == 0
+            break
         direction = np.zeros(len(z))
         direction[free] = step
-        # once the decrement is small the quadratic model holds: its full
-        # step is the last, taken unless rounding makes it lose
-        last = g[free] @ step <= _DECREMENT * (1.0 + abs(ll))
-        at_maximum = last and lam == 0
-        for t in 0.5 ** np.arange(1 if last else _HALVINGS):
+        for t in 0.5 ** np.arange(_HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
             ll_trial, g_trial, H_trial = ascent(trial, lo, hi)
             gain = ll_trial - ll
-            if gain >= 0 if last else gain > 0 and gain >= _ARMIJO * (g @ (trial - z)):
+            if gain > 0 and gain >= _ARMIJO * (g @ (trial - z)):
                 z, ll, g, H = trial, ll_trial, g_trial, H_trial
                 break
             if n_evals >= _MAX_EVALS:
                 break
         else:
             # no step along the direction gains
-            break
-        if last:
             break
     theta = _from_free(kinds, z)
     flags = sorted(nm for nm, kind, t in zip(params, kinds, theta)
@@ -472,7 +471,8 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
                        converged=bool(at_maximum and not edge), iterations=nit,
                        n_evals=n_evals, boundary_flags=flags, diagnostics=diagnostics)
     if compute_ses:
-        compute_se(data, result)
+        # the Hessian of the evaluation at the reported point
+        compute_se(data, result, H)
     return result
 
 
@@ -550,46 +550,44 @@ def _wald_p(est, se) -> float:
     return float(2.0 * ndtr(-abs(est / se)))
 
 
-def compute_se(data, result: FitResult) -> dict:
-    """Observed-information standard errors of an M2 or M3 fit. The
-    Hessian of the log-likelihood at the optimum is the symmetrised
-    central difference of its analytic score, taken over the parameters
-    not in ``result.boundary_flags``: two probes per parameter, all scored
-    in one kernel call (``_member_score``). d (for the mixture model) and
-    the flagged parameters are held at their estimates, and a flagged
-    parameter gets NaN for its standard error and p-value: at a boundary
-    the Wald reference does not apply. A rejected probe leaves the Hessian
-    undefined, and every standard error and p-value NaN. M1's standard
-    errors are closed-form and set by ``fit_m1``.
-
-    Updates ``result.std_errors`` / ``result.p_values`` in place and
-    returns the standard-error dict.
-    """
+def compute_se(data, result: FitResult, hessian=None) -> dict:
+    """Observed-information standard errors of an M2 or M3 fit from
+    ``hessian``, the central-difference Hessian at the estimates in the
+    optimizer's coordinates z: the fit's final evaluation, or else one
+    ``_objective`` evaluation at z(theta-hat). Over the parameters not in
+    ``result.boundary_flags`` the delta method, exact at a stationary point,
+    gives SE(theta_i) = |dtheta_i/dz_i| sqrt([(-H)^-1]_ii). d and the flagged
+    parameters are held at their estimates, and a flagged one gets NaN for
+    its standard error and p-value: at a boundary the Wald reference does
+    not apply. A rejected point or probe makes every one NaN. M1's are
+    closed-form (``fit_m1``). Updates ``result.std_errors`` and
+    ``result.p_values`` in place and returns the former."""
     data = _as_data(data)
     get = result.diagnostics.get
-    score = _member_score(result.model, data, result.estimates.get("d"),
-                          get("copula_family"), get("copula_a"), get("copula_b"))
-    names = list(_MEMBERS[result.model][0])
-    theta = np.array([result.estimates[k] for k in names])
+    if hessian is None:
+        # built first, since it rejects an unknown model
+        objective = _objective(result.model, data, result.estimates.get("d"),
+                               get("copula_family"), get("copula_a"), get("copula_b"))
+    names, kinds = zip(*_MEMBERS[result.model][0].items())
+    theta = np.array([result.estimates[nm] for nm in names])
+    if hessian is None:
+        hessian = objective(_to_free(kinds, theta))[2]
     free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
-    probes, hessian = _probes(theta, free)
-    H = hessian(score(probes)[1][:, free])
-    se = dict.fromkeys(names, float("nan"))
+    H = hessian[np.ix_(free, free)]
+    se = np.full(len(names), np.nan)
     if not np.all(np.isfinite(H)):
         result.diagnostics["hessian"] = "rejected probe"
     else:
         try:
-            cov = np.linalg.inv(-H)
-            diag = np.diag(cov)
+            diag = np.diag(np.linalg.inv(-H))
             if (diag <= 0).any():
                 raise np.linalg.LinAlgError("non-positive variance")
-            for i, v in zip(free, diag):
-                se[names[i]] = float(np.sqrt(v))
+            se[free] = np.abs(_free_slope(kinds, theta)[free]) * np.sqrt(diag)
         except np.linalg.LinAlgError:
             result.diagnostics["hessian"] = "not positive definite"
-    result.std_errors = se
-    result.p_values = {nm: _wald_p(result.estimates[nm], se[nm]) for nm in names}
-    return se
+    result.std_errors = dict(zip(names, se.tolist()))
+    result.p_values = {nm: _wald_p(result.estimates[nm], v) for nm, v in result.std_errors.items()}
+    return result.std_errors
 
 
 def bootstrap(data, fitter, B: int, seed: int, level: float = 0.95):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri, ndtri_exp
+from scipy.special import ndtr, ndtri, ndtri_exp
 
 from mbweibull import (
     BivariateWeibull,
@@ -25,6 +26,7 @@ from mbweibull.bivariate import (
     _gaussian_z,
     _log_density_score,
 )
+from mbweibull.copulas import _gaussian_log_c
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
 from mbweibull.mixture import (
     DEFAULT_PARAMS, mbw_hazard, mbw_params, mbw_pdf, mbw_survival, mixture_weight
@@ -465,6 +467,24 @@ class TestLogDensityScore:
         assert np.isfinite(logf[0]).all()
         expect, _ = _log_density_score(x, y, (1.0, 2.0, 1.0, 3.0, 0.5), copula)
         np.testing.assert_array_equal(logf[0], expect)
+
+    @pytest.mark.parametrize("z1, z2", [(-37.5, -37.5), (-37.5, -37.4), (1.0, 1.2), (3.0, -2.0)])
+    def test_gaussian_copula_keeps_its_digits_near_rho_one(self, z1, z2):
+        # log c and dlog c/drho at rho = 1 - 1e-6, the edge of the Gaussian
+        # search box, at the kernel's own normal scores of unit-exponential
+        # rows, against mpmath at 50 digits; with 1 - rho^2 and the quadratic
+        # form taken by cancellation they kept about 11 digits
+        rho = 1 - 1e-6
+        A = np.array([-np.log1p(-ndtr(z)) if z < 0 else -np.log(ndtr(-z)) for z in (z1, z2)])
+        z = _gaussian_z(A)[0]
+        _, S = _log_density_score(A[:1], A[1:], (1.0, 1.0, 1.0, 1.0, rho), GaussianCopulaParams(rho))
+        with mpmath.workdps(50):
+            r, a, b = mpmath.mpf(rho), mpmath.mpf(z[0]), mpmath.mpf(z[1])
+            D = 1 - r * r
+            log_c = -(r * r * (a * a + b * b) - 2 * r * a * b) / (2 * D) - mpmath.log(D) / 2
+            dlog_c = r / D + (a * b * (1 + r * r) - r * (a * a + b * b)) / D**2
+        assert _gaussian_log_c(z[0], z[1], rho) == pytest.approx(float(log_c), rel=1e-14, abs=0)
+        assert S[0, 4] == pytest.approx(float(dlog_c), rel=1e-14, abs=0)
 
     def test_gaussian_z_takes_one_ndtri_per_row(self):
         # bit for bit the two-branch form, which took ndtri of both tails,

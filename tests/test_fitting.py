@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -257,7 +258,7 @@ class TestLoglik:
         try:
             expect = loglik_mbw(data, m)
         except SingularityError:
-            assert ll == -np.inf and H is None
+            assert ll == -np.inf and np.isnan(H).all()
             return
         x, y = data[:, 0], data[:, 1]
         kept = data[((x > 0) & (y > 0)) | (x > d) | (y > d)]
@@ -273,7 +274,7 @@ class TestLoglik:
         underflow = (past > 0).all(axis=1) & np.isfinite(A + B) & (
             m.q * bvw_pdf(past[:, 0], past[:, 1], m.base) == 0)
         if not underflow.any():
-            assert ll == -np.inf and H is None
+            assert ll == -np.inf and np.isnan(H).all()
 
 
 class TestEstimateD:
@@ -644,10 +645,37 @@ class TestOptimizer:
         theta = np.array([res.estimates[nm] for nm in fitting._MEMBERS["m3"][0]])
         _, score = fitting._member_score("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(theta[None])
         g = np.delete(np.abs(score[0] * fitting._free_slope(kinds, theta)), 4)
-        assert res.diagnostics["score_max"] == g.max() < 1e-6
+        assert res.diagnostics["score_max"] == g.max()
+        # what the stop certifies: the Newton decrement over the free block
+        # at the estimates is below the stopping test's bound
+        ll, g, H = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(_to_free(kinds, theta))
+        free = [0, 1, 2, 3, 5]
+        decrement = g[free] @ np.linalg.solve(-H[np.ix_(free, free)], g[free])
+        assert 0 <= decrement <= fitting._DECREMENT * (1 + abs(ll))
         payload = json.loads(json.dumps(res.to_dict()))
         assert payload["diagnostics"]["score_max"] == res.diagnostics["score_max"]
         assert {"message", "passes"}.isdisjoint(res.diagnostics)
+
+    @pytest.mark.parametrize("family", ["gfgm", "gaussian"])
+    def test_the_fit_ends_on_the_decrement_test(self, monkeypatch, family):
+        # once the Newton decrement is small the fit stops before the step's
+        # evaluation: its last event is a step, with no kernel call after it
+        events = []
+        step, build = fitting._damped_step, fitting._member_score
+
+        def spy_step(A, g):
+            events.append("step")
+            return step(A, g)
+
+        def spy_score(*args):
+            score = build(*args)
+            return lambda points: events.append("kernel") or score(points)
+
+        monkeypatch.setattr(fitting, "_damped_step", spy_step)
+        monkeypatch.setattr(fitting, "_member_score", spy_score)
+        res = fit_mbw(vannman_data(), copula_family=family, min_pts=4, eps=1.6, compute_ses=False)
+        assert res.converged and events[-2:] == ["kernel", "step"]
+        assert events.count("kernel") == res.n_evals and events.count("step") == res.iterations
 
     def test_converged_needs_the_decrement_test(self, monkeypatch):
         # with no decrement small enough the search ends when no step
@@ -728,10 +756,12 @@ class TestOptimizer:
             return np.where((points[:, 2:] <= 1.0), -points @ A, np.nan)
 
         center = np.array([0.3, -2.0, 0.99995])
-        probes, hessian = fitting._probes(center, [0, 2], -1.0, np.array([5.0, 5.0, 1.0]))
-        H = hessian(score(probes)[:, [0, 2]])
-        np.testing.assert_allclose(H, -A[np.ix_([0, 2], [0, 2])], rtol=1e-9)
+        hi = np.array([5.0, 5.0, 1.0])
+        probes, hessian = fitting._probes(center, -5.0, hi)
+        H = hessian(score(probes))
+        np.testing.assert_allclose(H, -A, rtol=1e-9)
         assert seen[0][:, 2].max() <= 1.0
+        assert ((seen[0] >= -5.0) & (seen[0] <= hi)).all()
 
     @pytest.mark.parametrize("where", ["this process", "pool worker"])
     def test_fits_keep_to_one_core(self, where):
@@ -754,7 +784,7 @@ class TestOptimizer:
         kinds = list(fitting._MEMBERS["m3"][0].values())
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
         ll, g, H = objective(_to_free(kinds, np.array(theta)))
-        assert ll == -np.inf and not g.any() and H is None
+        assert ll == -np.inf and not g.any() and np.isnan(H).all()
         m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
         assert loglik_mbw(data, m) == -np.inf
 
@@ -763,8 +793,9 @@ class TestOptimizer:
         # every margin probability underflows and counts as the smallest
         # normal float, where the Gaussian copula density at rho = 1 - 1e-6
         # is about e^710 and overflows in linear space: loglik_mbw is -inf,
-        # and the evaluator sums the rows' log f. At this rho 1 - rho^2
-        # cancels, and the two sums keep about 11 digits
+        # and the evaluator sums the rows' log f. The pinned value is the
+        # same sum with mpmath at 50 digits; scipy's multivariate normal
+        # forms 1 - rho^2 by cancellation and keeps about 11 digits
         data = sample_mbw(100, _CRITERION_5_GAUSSIAN, SeededStream(1))
         theta = np.array((1000.0, 10.0, 1000.0, 50.0, 1 - 1e-6, 0.3))
         m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
@@ -786,7 +817,7 @@ class TestOptimizer:
         expect = bulk[past].sum() + np.logaddexp(np.log(p / 0.01), bulk[~past]).sum()
         ll, score = _evaluate("m3", data, 0.1, "gaussian", 1.0, 1.0)(theta)
         assert ll == pytest.approx(expect, rel=1e-10)
-        assert ll == pytest.approx(-268502.5976443731, rel=1e-12)
+        assert ll == pytest.approx(-268502.59764180076, rel=1e-12)
         assert np.all(np.isfinite(score))
 
 
@@ -904,6 +935,21 @@ def _vannman_fit(model):
     return fit_m2(data) if model == "m2" else fit_mbw(data, min_pts=4, eps=1.6)
 
 
+def _criterion_5_fit():
+    # the first n = 300 replicate of the Gaussian criterion-5 study
+    data = sample_mbw(300, _CRITERION_5_GAUSSIAN, SeededStream(20260823, 300_000_000))
+    return data, fit_mbw(data, copula_family="gaussian", eps=0.25)
+
+
+# fits with standard errors and no coordinate stopped by the search box,
+# whose probes stay where compute_se would put them
+_SE_FITS = {
+    "m2": lambda: (vannman_data(), fit_m2(vannman_data())),
+    "m3": lambda: (vannman_data(), fit_mbw(vannman_data(), min_pts=4, eps=1.6)),
+    "criterion-5-gaussian": _criterion_5_fit,
+}
+
+
 class TestStandardErrors:
     @pytest.mark.parametrize("model, expect", [
         ("m2", {"beta1": 0.46345956456633935, "beta2": 0.16458220865058704}),
@@ -919,17 +965,67 @@ class TestStandardErrors:
 
     @pytest.mark.parametrize("model", ["m2", "m3"])
     def test_two_score_calls_per_free_parameter(self, monkeypatch, model):
-        # one call scores every probe, theta + h e_i and theta - h e_i
-        res = _vannman_fit(model)
+        # a fit's own standard errors take the Hessian of its final
+        # evaluation and make no kernel call; for a FitResult built
+        # elsewhere one call scores z(theta) and every probe, z + h e_i and
+        # z - h e_i, over all m parameters
         calls = _counting_score(monkeypatch)
+        se_calls = []
+        compute = fitting.compute_se
+
+        def spy(*args):
+            before = len(calls)
+            compute(*args)
+            se_calls.append(len(calls) - before)
+
+        monkeypatch.setattr(fitting, "compute_se", spy)
+        res = _vannman_fit(model)
+        assert se_calls == [0]
+        calls.clear()
         compute_se(vannman_data(), res)
-        names = list(res.std_errors)
-        free = [i for i, nm in enumerate(names) if nm not in res.boundary_flags]
-        assert len(calls) == 1 and calls[0].shape == (2 * len(free), len(names))
+        m = len(res.std_errors)
+        assert len(calls) == 1 and calls[0].shape == (1 + 2 * m, m)
+        theta = np.array([res.estimates[nm] for nm in res.std_errors])
+        np.testing.assert_allclose(calls[0][0], theta, rtol=1e-15)
+        moved = calls[0][1:] != calls[0][0]
+        assert moved.sum(axis=1).tolist() == [1] * (2 * m)
+        assert moved.argmax(axis=1).tolist() == list(range(m)) * 2
+
+    @pytest.mark.parametrize("fit", _SE_FITS.values(), ids=_SE_FITS.keys())
+    def test_a_fit_with_standard_errors_makes_n_evals_kernel_calls(self, monkeypatch, fit):
+        calls = _counting_score(monkeypatch)
+        _, res = fit()
+        # the search's evaluations only
+        assert len(calls) == res.n_evals
+        assert np.isfinite([v for nm, v in res.std_errors.items()
+                            if nm not in res.boundary_flags]).all()
+
+    @pytest.mark.parametrize("fit", _SE_FITS.values(), ids=_SE_FITS.keys())
+    def test_both_routes_give_the_same_standard_errors(self, monkeypatch, fit):
+        # the fit's standard errors from its final evaluation, and those of
+        # compute_se on a copy from one evaluation at z(theta-hat): bit for
+        # bit where z(theta-hat) is the fit's last point, and to 1e-11
+        # where exp and log or expit and logit moved it by rounding (about
+        # 1e-16 in z, which the central difference over h = 1e-4 turns into
+        # about 1e-12 relative)
+        points = []
+        build = fitting._objective
+
+        def spy(*args):
+            objective = build(*args)
+            return lambda z, *box: points.append(z) or objective(z, *box)
+
+        monkeypatch.setattr(fitting, "_objective", spy)
+        data, res = fit()
+        assert "box_edge" not in res.diagnostics
+        monkeypatch.undo()
+        again = copy.deepcopy(res)
+        compute_se(data, again)
+        names, kinds = zip(*fitting._MEMBERS[res.model][0].items())
         theta = np.array([res.estimates[nm] for nm in names])
-        moved = calls[0] != theta
-        assert moved.sum(axis=1).tolist() == [1] * (2 * len(free))
-        assert moved.argmax(axis=1).tolist() == free + free
+        rtol = 0 if np.array_equal(_to_free(kinds, theta), points[-1]) else 1e-11
+        expect, got = (np.array(list(r.std_errors.values())) for r in (res, again))
+        np.testing.assert_allclose(got, expect, rtol=rtol, atol=0, equal_nan=True)
 
     def test_rejected_probe_voids_every_standard_error(self, monkeypatch):
         # one rejected probe leaves a NaN in the Hessian, whose inverse
