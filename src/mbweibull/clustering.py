@@ -6,6 +6,7 @@ nearest the origin."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
@@ -53,10 +54,20 @@ def dbscan(points, p: DbscanParams) -> np.ndarray:
     n = len(points)
     adj = cdist(points, points, "sqeuclidean") <= p.eps * p.eps
     core = adj.sum(axis=1) >= p.min_pts
-    _, comp = connected_components(adj[np.ix_(core, core)], directed=False)
-    # every core neighbor of a core point lies in its own cluster
-    lowest = np.where(adj[:, core], comp, n).min(axis=1, initial=n)
-    return np.where(lowest < n, lowest, NOISE).astype(int)
+    # the core block as a sparse graph, which csgraph takes without the
+    # validation it gives a dense matrix
+    block = adj[core][:, core]
+    indptr = np.concatenate([[0], np.cumsum(block.sum(axis=1))])
+    columns = np.flatnonzero(block) % len(block)
+    graph = csr_array((np.ones(len(columns)), columns, indptr), shape=block.shape)
+    _, comp = connected_components(graph, directed=False)
+    labels = np.full(n, NOISE)
+    labels[core] = comp
+    # a border point joins the lowest-numbered cluster among its core
+    # neighbors, the noise none
+    lowest = np.where(adj[~core][:, core], comp, n).min(axis=1, initial=n)
+    labels[~core] = np.where(lowest < n, lowest, NOISE)
+    return labels
 
 
 def select_eps(points, min_pts: int) -> float:

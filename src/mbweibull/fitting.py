@@ -4,10 +4,10 @@ The full mixture model (M3) is fitted in two stages: the rectangle side d
 is plugged in from the origin cluster found by DBSCAN, then the remaining
 parameters are maximized by projected Newton in a box (see ``_fit``):
 shapes and scales on a log scale, p on a logit scale and rho as itself.
-Each evaluation is one call of the log-space density kernel on a point
-and its probes: log-likelihood, analytic score, and the central
-difference of the score as Hessian; the final evaluation's Hessian is the
-observed information behind the standard errors. M3 reports
+Each evaluation is one call of the log-space density kernel on one point:
+log-likelihood, analytic score and closed-form Hessian, each row's second
+derivatives summed as the mixture weighs them; the final evaluation's
+Hessian is the observed information behind the standard errors. M3 reports
 ``loglik_mbw`` at its estimates.
 Comparison models: M1 (independent exponential margins, closed form) and
 M2 (FGM-coupled exponential margins). M2 is M3 with fixed values: shapes
@@ -160,10 +160,10 @@ def _spearman(x, y) -> float:
 
 # Each parameter kind fixes the optimizer's coordinate for a value, its
 # inverse, the distance from a value to the edge of the parameter space,
-# the derivative of the value in its coordinate, which chains the score to
-# the optimizer, and the closed bounds of its space. Shapes and scales are
-# both of kind "scale"; rho, of kind "box", is its own coordinate and keeps
-# to its copula's space by the search box.
+# the derivative of the value in its coordinate, which maps the standard
+# errors to the parameters, and the closed bounds of its space. Shapes and
+# scales are both of kind "scale"; rho, of kind "box", is its own
+# coordinate and keeps to its copula's space by the search box.
 _KINDS = {
     "scale": (np.log, np.exp, lambda t: np.inf, lambda t: t, (0.0, np.inf)),
     "box": (lambda t: t, lambda t: t, lambda t: 1.0 - abs(t), np.ones_like, (-1.0, 1.0)),
@@ -171,9 +171,7 @@ _KINDS = {
 }
 
 # A parameter closer than this to the edge of its space is on its boundary:
-# the fit flags it and compute_se holds it fixed. The central-difference
-# step of an unflagged rho, 1e-4, then never leaves the space, which a log
-# or logit coordinate cannot leave.
+# the fit flags it and compute_se holds it fixed.
 _BOUNDARY_GAP = 1e-3
 
 # The nested family M2 within M3, by model name: the free parameters and
@@ -203,32 +201,36 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 
 
-# These three map one point, or a (K, m) array of points, coordinate-wise.
+# These three map one point coordinate-wise.
 def _to_free(kinds, theta) -> np.ndarray:
-    return np.array([_KINDS[k][0](t) for k, t in zip(kinds, np.asarray(theta).T)]).T
+    return np.array([_KINDS[k][0](t) for k, t in zip(kinds, theta)])
 
 
 def _from_free(kinds, z) -> np.ndarray:
-    return np.array([_KINDS[k][1](v) for k, v in zip(kinds, np.asarray(z).T)]).T
+    return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
 
 
 def _free_slope(kinds, theta) -> np.ndarray:
-    return np.array([_KINDS[k][3](t) for k, t in zip(kinds, np.asarray(theta).T)]).T
+    return np.array([_KINDS[k][3](t) for k, t in zip(kinds, theta)])
 
 
-def _member_score(model, data, d=None, family=None, a=None, b=None):
-    """The log-likelihood and score of member ``model`` on ``data`` over its
-    free parameters in ``_MEMBERS`` order; M3 also takes its plugged-in d and
-    its copula. A bad setting (model, family, GFGM exponent, d) raises
-    DomainError here, once. The function returned maps a (K, |free|) array
-    of points, in one kernel call and without a warning, to K
-    log-likelihoods, summed in log space over the rows ``loglik_mbw``
-    counts (all rows for M2), and (K, |free|) scores; both NaN for a point
-    past the edge of the parameter space, with a row past the square
-    without a finite log f, or with a score that is not finite."""
+def _objective(model, data, d=None, family=None, a=None, b=None):
+    """Stage 2's evaluator for member ``model`` on ``data``; M3 also takes
+    its plugged-in d and its copula. A bad setting (model, family, GFGM
+    exponent, d) raises DomainError here, once. The function returned maps a
+    point z of the optimizer's coordinates, in one one-point kernel call and
+    without a warning, to the log-likelihood, summed in log space over the
+    rows ``loglik_mbw`` counts (all rows for M2), and its gradient and
+    Hessian in z; (-inf, 0, NaN) for a point past the edge of the parameter
+    space or where any of the three is not finite.
+
+    M3 sums each row's bulk derivatives weighted by the row's bulk share w,
+    plus w (1 - w) s s^T in the Hessian, and takes logit p's derivatives in
+    their own coordinate. M2 takes the (beta1, beta2, rho) block of the
+    kernel at alpha = 1."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
-        past, c = np.ones(len(x), bool), GfgmParams(0.0)
+        c = GfgmParams(0.0)
     elif model == "m3":
         # the settings are valid when they make a model with some free values
         c = mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b).base.copula
@@ -236,76 +238,56 @@ def _member_score(model, data, d=None, family=None, a=None, b=None):
         x, y = x[keep], y[keep]
     else:
         raise DomainError(f"unknown model {model!r}")
+    kinds = list(_MEMBERS[model][0].values())
+    m = len(kinds)
     # a point on the edge of the parameter space has no finite score
-    lo, hi = np.array([_KINDS[k][4] for k in _MEMBERS[model][0].values()]).T
+    lo, hi = np.array([_KINDS[k][4] for k in kinds]).T
+    # the coordinates on a log scale, where dtheta/dz = d2theta/dz2 = theta;
+    # rho is its own coordinate, and M3 takes logit p's derivatives in their
+    # own coordinate
+    log_scale = np.array([k == "scale" for k in kinds])
+    # M2's (beta1, beta2, rho) in the kernel's theta
+    m2_block = [1, 3, 4]
 
-    def score(points):
-        # the points' values as (K, 1) columns against the rows
-        cols = points.T[:, :, None]
+    def objective(z):
+        theta = _from_free(kinds, z)
         with np.errstate(all="ignore"):
             if model == "m2":
-                # M2 has no shape columns, which are -inf on a row with a zero
-                b1, b2, rho = cols
-                logf, S = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
-                ll = logf.sum(axis=1)
-                g = S[..., [1, 3, 4]].sum(axis=-2)
+                # M2 takes no shape derivatives, which are not finite on a
+                # row with a zero
+                b1, b2, rho = theta
+                logf, S, H = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
+                ll = logf.sum()
+                g, H = S.sum(axis=0)[m2_block], H.sum(axis=0)[np.ix_(m2_block, m2_block)]
             else:
-                logf, S = _log_density_score(x, y, cols[:5], c)
-                p = cols[5]
+                logf, S, Hr = _log_density_score(x, y, theta[:5], c)
+                p = theta[5]
                 # the logs of the plateau's density p/d^2 and of the bulk's q f
                 plateau, bulk = np.log(p) - 2 * np.log(d), np.log1p(-p) + logf
-                ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum(axis=1)
-                # a row on the plateau weighs its bulk score by its bulk share
-                # q f / (p/d^2 + q f); a row past the square has share 1
+                ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
+                # a row on the plateau weighs its bulk derivatives by its bulk
+                # share q f / (p/d^2 + q f); a row past the square has share 1
                 w = np.where(past, 1.0, expit(bulk - plateau))
                 # a row whose share underflowed has no bulk density left to
-                # differentiate, and its score may be NaN
-                S[w == 0] = 0.0
-                dp = np.sum((1 - w) / p - w / (1.0 - p), axis=-1)
-                g = np.concatenate([(w[..., None, :] @ S)[..., 0, :], dp[..., None]], axis=-1)
-            bad = (((points < lo) | (points > hi)).any(axis=1)
-                   | np.isinf(logf[:, past]).any(axis=1) | ~np.isfinite(g).all(axis=1))
-        ll[bad], g[bad] = np.nan, np.nan
-        return ll, g
-
-    return score
-
-
-def _probes(center, lo=-np.inf, hi=np.inf) -> tuple:
-    """The central-difference probes of ``center``, two per coordinate i,
-    center +- h e_i with h = 1e-4 max(|center_i|, 1), a pair that would leave
-    the box [lo, hi] moved along its axis into it; and the map from the
-    gradients at the probes to their symmetrised Jacobian, NaN in the row
-    and column of a rejected probe."""
-    h = 1e-4 * np.maximum(np.abs(center), 1.0)
-    mid = np.clip(center, lo + h, hi - h) - center
-    axes = np.eye(len(center))
-
-    def hessian(g):
-        H = (g[: len(h)] - g[len(h):]) / (2 * h[:, None])
-        return (H + H.T) / 2
-
-    return center + np.vstack([axes * (mid + h)[:, None], axes * (mid - h)[:, None]]), hessian
-
-
-def _objective(model, data, d=None, family=None, a=None, b=None):
-    """Stage 2's evaluator, on ``_member_score``'s arguments: a map from a
-    point z of the optimizer's coordinates and the search box [lo, hi] to
-    the log-likelihood, gradient and Hessian (``_probes``) at z, from one
-    kernel call on z and its 2m probes; (-inf, 0, NaN) where the
-    log-likelihood or the score at z is not finite."""
-    score = _member_score(model, data, d, family, a, b)
-    kinds = list(_MEMBERS[model][0].values())
-
-    def objective(z, lo=-np.inf, hi=np.inf):
-        probes, hessian = _probes(z, lo, hi)
-        with np.errstate(all="ignore"):
-            theta = _from_free(kinds, np.vstack([z, probes]))
-            ll, g = score(theta)
-            g = g * _free_slope(kinds, theta)
-        if not np.isfinite(ll[0]):
-            return -np.inf, np.zeros(len(z)), np.full((len(z),) * 2, np.nan)
-        return float(ll[0]), g[0], hessian(g[1:])
+                # differentiate, and its derivatives may be NaN
+                gone = w == 0
+                if gone.any():
+                    S[gone], Hr[gone] = 0.0, 0.0
+                v = w * (1 - w)
+                vS = v @ S
+                g, H = np.empty(6), np.empty((6, 6))
+                g[:5], g[5] = w @ S, len(w) * (1 - p) - w.sum()
+                H[:5, :5] = (w @ Hr.reshape(len(w), 25)).reshape(5, 5) + (S.T * v) @ S
+                H[5, :5] = H[:5, 5] = -vS
+                H[5, 5] = v.sum() - len(w) * p * (1 - p)
+            # the chain rule to z: H gains g times d2theta/dz2
+            slope = np.where(log_scale, theta, 1.0)
+            H = H * np.outer(slope, slope) + np.diag(np.where(log_scale, g * theta, 0.0))
+            g = g * slope
+        if (((theta < lo) | (theta > hi)).any()
+                or not (np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all())):
+            return -np.inf, np.zeros(m), np.full((m, m), np.nan)
+        return float(ll), g, H
 
     return objective
 
@@ -409,21 +391,13 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
                            get("copula_a", 1.0), get("copula_b", 1.0))
     n_evals = 0
 
-    def ascent(z, *box):
+    def ascent(z):
         nonlocal n_evals
         n_evals += 1
-        return objective(z, *box)
+        return objective(z)
 
-    # a start's probes lie far inside the box, which is built around it
     z = _to_free(kinds, theta0)
     ll, g, H = ascent(z)
-    shape = np.isin(list(params), ("alpha1", "alpha2"))
-    if shape.any() and ll == -np.inf:
-        # a start's shapes can be rejected only in pathological data, such
-        # as a far outlier whose exponent (x/beta)^alpha overflows; retry
-        # from shapes just above 1
-        z = _to_free(kinds, np.where(shape, 1.05, theta0))
-        ll, g, H = ascent(z)
     rho_box = _RHO_BOX[get("copula_family", "gfgm")]
     lo, hi = np.array([rho_box if kind == "box" else (v - _REACH, v + _REACH)
                        for kind, v in zip(kinds, z)]).T
@@ -431,11 +405,7 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
         free = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
-        A = -H[np.ix_(free, free)]
-        if not np.isfinite(A).all():
-            # a rejected probe leaves no Hessian: the fit stops short
-            break
-        lam, step = _damped_step(A, g[free])
+        lam, step = _damped_step(-H[np.ix_(free, free)], g[free])
         # once the decrement is small the quadratic model holds and its step
         # would gain almost nothing: the fit ends here without evaluating it
         if g[free] @ step <= _DECREMENT * (1.0 + abs(ll)):
@@ -445,7 +415,7 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
         direction[free] = step
         for t in 0.5 ** np.arange(_HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
-            ll_trial, g_trial, H_trial = ascent(trial, lo, hi)
+            ll_trial, g_trial, H_trial = ascent(trial)
             gain = ll_trial - ll
             if gain > 0 and gain >= _ARMIJO * (g @ (trial - z)):
                 z, ll, g, H = trial, ll_trial, g_trial, H_trial
@@ -552,15 +522,15 @@ def _wald_p(est, se) -> float:
 
 def compute_se(data, result: FitResult, hessian=None) -> dict:
     """Observed-information standard errors of an M2 or M3 fit from
-    ``hessian``, the central-difference Hessian at the estimates in the
-    optimizer's coordinates z: the fit's final evaluation, or else one
+    ``hessian``, the closed-form Hessian at the estimates in the optimizer's
+    coordinates z: the fit's final evaluation, or else one one-point
     ``_objective`` evaluation at z(theta-hat). Over the parameters not in
     ``result.boundary_flags`` the delta method, exact at a stationary point,
     gives SE(theta_i) = |dtheta_i/dz_i| sqrt([(-H)^-1]_ii). d and the flagged
     parameters are held at their estimates, and a flagged one gets NaN for
     its standard error and p-value: at a boundary the Wald reference does
-    not apply. A rejected point or probe makes every one NaN. M1's are
-    closed-form (``fit_m1``). Updates ``result.std_errors`` and
+    not apply. A rejected point, whose Hessian is NaN, makes every one NaN.
+    M1's are closed-form (``fit_m1``). Updates ``result.std_errors`` and
     ``result.p_values`` in place and returns the former."""
     data = _as_data(data)
     get = result.diagnostics.get
@@ -576,7 +546,7 @@ def compute_se(data, result: FitResult, hessian=None) -> dict:
     H = hessian[np.ix_(free, free)]
     se = np.full(len(names), np.nan)
     if not np.all(np.isfinite(H)):
-        result.diagnostics["hessian"] = "rejected probe"
+        result.diagnostics["hessian"] = "rejected point"
     else:
         try:
             diag = np.diag(np.linalg.inv(-H))

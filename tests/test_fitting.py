@@ -453,29 +453,15 @@ class TestFitMbw:
         with pytest.raises(DomainError):
             fit_mbw(np.random.default_rng(0).random((5, 2)))
 
-    def test_start_retry_from_shapes_near_one(self, monkeypatch):
-        # x = 1e250 sits so far out that at the start's shapes, about 1.6
-        # and 1.8, its exponent (x/beta1)^alpha1 overflows, while at 1.05 it
-        # is about 1e262: the fit restarts from shapes 1.05 with the start's
-        # scales and rho. The data-driven start never puts a shape there,
-        # since its Weibull plot takes the outlier in, so the fit starts
-        # from the start of the data without it
-        data = _outlier_sample(150.0)
-        d_hat, c1 = estimate_d(data, DbscanParams(4, 0.05))
-        start = _start(data, "m3", len(c1) / len(data), d_hat)
-        data[-1, 0] = 1e250
-        log_x = np.log(data[-1, 0] / start[1])
-        assert start[0] * log_x > np.log(np.finfo(float).max) > 1.05 * log_x
-        points = _counting_score(monkeypatch)
-        # the fit would spend its whole budget on alpha1 falling toward 0
-        monkeypatch.setattr(fitting, "_MAX_EVALS", 4)
-        res = _fit(data, "m3", start, compute_ses=False, d=d_hat)
-        retry = start.copy()
-        retry[[0, 2]] = 1.05
-        assert res.n_evals == len(points) == 4
-        np.testing.assert_allclose(points[0][0], start, rtol=1e-12)
-        np.testing.assert_allclose(points[1][0], retry, rtol=1e-12)
-        assert np.isfinite(res.loglik) and res.loglik < -1e200
+    @pytest.mark.parametrize("x", [1e50, 1e100, 1e150, 1e200, 1e250, 1e300])
+    def test_far_outlier_start_is_a_finite_point(self, monkeypatch, x):
+        # the data-driven start's Weibull plot takes a far outlier into its
+        # shape and scale, so that (x/beta)^alpha stays finite: the fit's
+        # first evaluation is finite, with no retry from other shapes
+        evaluations = _recorded_evaluations(monkeypatch)
+        fit_mbw(_outlier_sample(x), eps=0.05, compute_ses=False)
+        _, (ll, g, H) = evaluations[0]
+        assert np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all()
 
     def test_far_outlier_start_counts_in_log_space(self):
         # x = 150 sits ~95 margin means out: at the start's shapes, about 1.6
@@ -614,9 +600,9 @@ class TestOptimizer:
         assert res.converged
 
     def test_counts_and_the_score_left(self, monkeypatch):
-        # n_evals counts the evaluator's calls, each one kernel call on the
-        # point and the 2 x 6 probes of its Hessian, and iterations the
-        # Newton steps; loglik_mbw runs once, for the reported value
+        # n_evals counts the evaluator's calls, each one kernel call on one
+        # point, and iterations the Newton steps; loglik_mbw runs once, for
+        # the reported value
         lls, hessians = [], []
         loglik, step = fitting.loglik_mbw, fitting._damped_step
 
@@ -630,25 +616,27 @@ class TestOptimizer:
 
         monkeypatch.setattr(fitting, "loglik_mbw", spy_loglik)
         monkeypatch.setattr(fitting, "_damped_step", spy_step)
-        calls = _counting_score(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
+        evaluations = _recorded_evaluations(monkeypatch)
         res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
-        assert res.n_evals == len(calls) and res.iterations == len(hessians)
-        assert all(points.shape == (13, 6) for points in calls)
+        assert res.n_evals == len(evaluations) == len(calls)
+        assert res.iterations == len(hessians)
+        assert all(np.shape(theta) == (5,) for theta in calls)
         assert len(lls) == 1 and res.loglik == lls[0]
         # rho sits on its bound with its gradient pointing out: held, so the
         # step's Hessian spans the other five
         assert res.boundary_flags == ["rho"] and res.estimates["rho"] == 1.0
         assert hessians[-1].shape == (5, 5)
-        # the score left at the end, in the optimizer's coordinates, over
-        # every parameter but the flagged rho
+        # the score left at the end, in the optimizer's coordinates at the
+        # last point evaluated, over every parameter but the flagged rho
         kinds = list(fitting._MEMBERS["m3"][0].values())
+        z = evaluations[-1][0]
         theta = np.array([res.estimates[nm] for nm in fitting._MEMBERS["m3"][0]])
-        _, score = fitting._member_score("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(theta[None])
-        g = np.delete(np.abs(score[0] * fitting._free_slope(kinds, theta)), 4)
-        assert res.diagnostics["score_max"] == g.max()
+        assert np.array_equal(_from_free(kinds, z), theta)
+        ll, g, H = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(z)
+        assert res.diagnostics["score_max"] == np.delete(np.abs(g), 4).max()
         # what the stop certifies: the Newton decrement over the free block
         # at the estimates is below the stopping test's bound
-        ll, g, H = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(_to_free(kinds, theta))
         free = [0, 1, 2, 3, 5]
         decrement = g[free] @ np.linalg.solve(-H[np.ix_(free, free)], g[free])
         assert 0 <= decrement <= fitting._DECREMENT * (1 + abs(ll))
@@ -661,18 +649,18 @@ class TestOptimizer:
         # once the Newton decrement is small the fit stops before the step's
         # evaluation: its last event is a step, with no kernel call after it
         events = []
-        step, build = fitting._damped_step, fitting._member_score
+        step, kernel = fitting._damped_step, fitting._log_density_score
 
         def spy_step(A, g):
             events.append("step")
             return step(A, g)
 
-        def spy_score(*args):
-            score = build(*args)
-            return lambda points: events.append("kernel") or score(points)
+        def spy_kernel(*args):
+            events.append("kernel")
+            return kernel(*args)
 
         monkeypatch.setattr(fitting, "_damped_step", spy_step)
-        monkeypatch.setattr(fitting, "_member_score", spy_score)
+        monkeypatch.setattr(fitting, "_log_density_score", spy_kernel)
         res = fit_mbw(vannman_data(), copula_family=family, min_pts=4, eps=1.6, compute_ses=False)
         assert res.converged and events[-2:] == ["kernel", "step"]
         assert events.count("kernel") == res.n_evals and events.count("step") == res.iterations
@@ -744,24 +732,21 @@ class TestOptimizer:
             assert res.converged
             assert res.n_evals <= 12
 
-    def test_probes_near_a_bound_stay_in_the_box(self):
-        # rho 0.99995 is free, but its probes at +-1e-4 would cross 1, where
-        # the score is NaN: the pair moves inside and, on a quadratic, the
-        # difference is still exact
-        A = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
-        seen = []
-
-        def score(points):
-            seen.append(points)
-            return np.where((points[:, 2:] <= 1.0), -points @ A, np.nan)
-
-        center = np.array([0.3, -2.0, 0.99995])
-        hi = np.array([5.0, 5.0, 1.0])
-        probes, hessian = fitting._probes(center, -5.0, hi)
-        H = hessian(score(probes))
-        np.testing.assert_allclose(H, -A, rtol=1e-9)
-        assert seen[0][:, 2].max() <= 1.0
-        assert ((seen[0] >= -5.0) & (seen[0] <= hi)).all()
+    def test_hessian_on_the_bound_of_the_box(self, monkeypatch):
+        # the GFGM Vannman fit ends with rho on its bound 1, where a central
+        # difference would leave the space: the closed-form Hessian there is
+        # the one-sided difference of the score, to first order in the step
+        evaluations = _recorded_evaluations(monkeypatch)
+        res = fit_mbw(vannman_data(), min_pts=4, eps=1.6, compute_ses=False)
+        assert res.estimates["rho"] == 1.0
+        objective = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)
+        z, (_, g, H) = evaluations[-1]
+        assert np.isfinite(H).all()
+        for h in (1e-5, 1e-6):
+            below = z.copy()
+            below[4] -= h
+            fd = (g - objective(below)[1]) / h
+            np.testing.assert_allclose(fd, H[4], rtol=0, atol=100 * h * np.abs(H[4]).max())
 
     @pytest.mark.parametrize("where", ["this process", "pool worker"])
     def test_fits_keep_to_one_core(self, where):
@@ -839,48 +824,74 @@ def _difference_gradient(objective, z):
     return fd
 
 
+# the members and copulas of the evaluator's tests, and their parameters
+_member_strategies = dict(
+    # M3's copula: family, a, b; None stands for M2
+    copula=st.sampled_from(
+        [None, ("gfgm", 1.0, 1.0), ("gfgm", 2.0, 3.0), ("gaussian", 1.0, 1.0)]),
+    shapes=st.tuples(st.floats(0.7, 4.0), st.floats(0.7, 4.0)),
+    scales=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    rho=st.floats(-0.9, 0.9),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _member_point(copula, shapes, scales, rho, p, seed):
+    # the evaluator of a member on 40 rows and a point z in its coordinates:
+    # M2 counts rows with a zero coordinate; M3 has rows on its plateau and
+    # past its square
+    rng = np.random.default_rng(seed)
+    if copula is None:
+        data = _quantile_rows(rng, (1.0, 1.0), scales, 40)
+        data[:3, 0] = 0.0
+        data[2:5, 1] = 0.0
+        model, settings = "m2", ()
+        theta = np.array([*scales, rho])
+    else:
+        data = _quantile_rows(rng, shapes, scales, 40)
+        d = 0.3 * min(scales)
+        data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
+        model, settings = "m3", (d, *copula)
+        theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
+    return _objective(model, data, *settings), _to_free(
+        list(fitting._MEMBERS[model][0].values()), theta)
+
+
 class TestScore:
     @settings(derandomize=True, database=None, deadline=None)
-    @given(
-        # M3's copula: family, a, b; None stands for M2
-        copula=st.sampled_from(
-            [None, ("gfgm", 1.0, 1.0), ("gfgm", 2.0, 3.0), ("gaussian", 1.0, 1.0)]),
-        shapes=st.tuples(st.floats(0.7, 4.0), st.floats(0.7, 4.0)),
-        scales=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
-        rho=st.floats(-0.9, 0.9),
-        p=st.floats(0.05, 0.95),
-        seed=st.integers(0, 2**16),
-    )
+    @given(**_member_strategies)
     def test_score_is_the_gradient_of_the_objective(self, copula, shapes, scales, rho, p, seed):
-        # M2 counts rows with a zero coordinate; M3 has rows on its plateau
-        # and past its square
-        rng = np.random.default_rng(seed)
-        if copula is None:
-            data = _quantile_rows(rng, (1.0, 1.0), scales, 40)
-            data[:3, 0] = 0.0
-            data[2:5, 1] = 0.0
-            model, settings = "m2", ()
-            theta = np.array([*scales, rho])
-        else:
-            data = _quantile_rows(rng, shapes, scales, 40)
-            d = 0.3 * min(scales)
-            data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
-            model, settings = "m3", (d, *copula)
-            theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
-        objective = _objective(model, data, *settings)
-        z = _to_free(list(fitting._MEMBERS[model][0].values()), theta)
+        objective, z = _member_point(copula, shapes, scales, rho, p, seed)
         ll, score, _ = objective(z)
         assert ll > -np.inf
         fd = _difference_gradient(objective, z)
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * max(np.abs(score).max(), 1.0))
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(**_member_strategies)
+    def test_hessian_is_the_jacobian_of_the_score(self, copula, shapes, scales, rho, p, seed):
+        # the closed-form Hessian in the optimizer's coordinates, mixture
+        # weights and logit p included, against the central difference of
+        # the closed-form score
+        objective, z = _member_point(copula, shapes, scales, rho, p, seed)
+        ll, _, H = objective(z)
+        assert ll > -np.inf
+        np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-14 * np.abs(H).max())
+        fd = np.empty_like(H)
+        for i in range(len(z)):
+            step = np.zeros(len(z))
+            step[i] = 1e-6 * max(abs(z[i]), 1.0)
+            fd[i] = (objective(z + step)[1] - objective(z - step)[1]) / (2 * step[i])
+        np.testing.assert_allclose(H, fd, rtol=0, atol=1e-5 * max(np.abs(H).max(), 1.0))
+
     def test_gaussian_score_in_both_tails(self):
         # where 1 - e^-A rounds to 0 (A < 1e-12) or to 1 (A > 40), the
         # normal score comes from the tail A lies in
         A = np.array([1e-300, 1e-13, 0.5, 45.0, 200.0, 700.0])
-        logf, S = _log_density_score(
+        logf, S, H = _log_density_score(
             np.sqrt(A), np.sqrt(A[::-1]), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
-        assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S))
+        assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S)) and np.all(np.isfinite(H))
         # the same rows in an M3 fit: a plateau row with A = 1e-13 and a row
         # past the square with A = 45
         rng = np.random.default_rng(2)
@@ -908,31 +919,47 @@ class TestScore:
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * np.abs(score).max())
 
 
-def _counting_score(monkeypatch, reject=None):
-    # the points of every call of each score that fitting._member_score
-    # builds, and the row (from 0) of each call to reject instead
-    calls = []
-    build = fitting._member_score
+def _recorded_evaluations(monkeypatch, change=None):
+    # the point z and the value (ll, g, H) of every evaluation by each
+    # evaluator that fitting._objective builds, changed by ``change`` first
+    # if it is given
+    evaluations = []
+    build = fitting._objective
 
     def spy(*args):
-        score = build(*args)
+        objective = build(*args)
 
-        def counted(points):
-            calls.append(points)
-            ll, g = score(points)
-            if reject is not None:
-                g[reject] = np.nan
-            return ll, g
+        def recorded(z):
+            value = objective(z)
+            if change is not None:
+                value = change(*value)
+            evaluations.append((z, value))
+            return value
 
-        return counted
+        return recorded
 
-    monkeypatch.setattr(fitting, "_member_score", spy)
+    monkeypatch.setattr(fitting, "_objective", spy)
+    return evaluations
+
+
+def _kernel_calls(monkeypatch):
+    # the theta of every call of the density kernel that fitting makes
+    calls = []
+    kernel = fitting._log_density_score
+
+    def spy(x, y, theta, c):
+        calls.append(theta)
+        return kernel(x, y, theta, c)
+
+    monkeypatch.setattr(fitting, "_log_density_score", spy)
     return calls
 
 
 def _vannman_fit(model):
     data = vannman_data()
-    return fit_m2(data) if model == "m2" else fit_mbw(data, min_pts=4, eps=1.6)
+    if model == "m2":
+        return fit_m2(data)
+    return fit_mbw(data, "gaussian" if model == "m3-gaussian" else "gfgm", min_pts=4, eps=1.6)
 
 
 def _criterion_5_fit():
@@ -956,20 +983,48 @@ class TestStandardErrors:
         ("m3", {"alpha1": 0.6491673096850429, "beta1": 0.6138004959849315,
                 "alpha2": 0.25907358380701545, "beta2": 0.628639297790273,
                 "p": 0.10161305356038954}),
+        # rho-hat is 0.988 and p is flagged; pinned at the closed-form
+        # Hessian's values, from which a central difference with h = 1e-4 is
+        # off by up to 1.6e-4 (rho; see test_the_difference_converges_as_h_squared)
+        ("m3-gaussian", {"alpha1": 0.30081110216728707, "beta1": 0.8389421838034525,
+                         "alpha2": 0.12150827077010849, "beta2": 0.5668475619639902,
+                         "rho": 0.005058548964322432}),
     ])
     def test_vannman(self, model, expect):
-        # as the central-difference Hessian of the log-likelihood gave them
+        # M2 and GFGM M3 as the central-difference Hessian of the
+        # log-likelihood gave them
         res = _vannman_fit(model)
         for name, se in expect.items():
             assert res.std_errors[name] == pytest.approx(se, rel=1e-5)
+        assert set(res.std_errors) - set(expect) == set(res.boundary_flags)
+
+    def test_the_difference_converges_as_h_squared(self, monkeypatch):
+        # on the Gaussian Vannman fit, the central difference of the score
+        # with step h approaches the closed-form Hessian's rho row as h^2:
+        # the gap falls 100-fold per 10-fold smaller step, so at h = 1e-4 it
+        # is the difference that is in error, by about 7e-5
+        evaluations = _recorded_evaluations(monkeypatch)
+        res = _vannman_fit("m3-gaussian")
+        assert res.boundary_flags == ["p"]
+        assert res.estimates["rho"] == pytest.approx(0.988, abs=1e-3)
+        monkeypatch.undo()
+        objective = _objective("m3", vannman_data(), 1.4, "gaussian", 1.0, 1.0)
+        z, (_, _, H) = evaluations[-1]
+        gaps = []
+        for h in (1e-4, 1e-5, 1e-6):
+            step = np.zeros(len(z))
+            step[4] = h
+            fd = (objective(z + step)[1] - objective(z - step)[1]) / (2 * h)
+            gaps.append(np.abs(fd - H[4]).max() / np.abs(H[4]).max())
+        assert gaps[0] > 1e-5
+        assert 50 < gaps[0] / gaps[1] < 200 and 50 < gaps[1] / gaps[2] < 200
 
     @pytest.mark.parametrize("model", ["m2", "m3"])
-    def test_two_score_calls_per_free_parameter(self, monkeypatch, model):
+    def test_one_kernel_call_for_a_fit_built_elsewhere(self, monkeypatch, model):
         # a fit's own standard errors take the Hessian of its final
         # evaluation and make no kernel call; for a FitResult built
-        # elsewhere one call scores z(theta) and every probe, z + h e_i and
-        # z - h e_i, over all m parameters
-        calls = _counting_score(monkeypatch)
+        # elsewhere one one-point kernel call at theta-hat gives them
+        calls = _kernel_calls(monkeypatch)
         se_calls = []
         compute = fitting.compute_se
 
@@ -983,17 +1038,15 @@ class TestStandardErrors:
         assert se_calls == [0]
         calls.clear()
         compute_se(vannman_data(), res)
-        m = len(res.std_errors)
-        assert len(calls) == 1 and calls[0].shape == (1 + 2 * m, m)
-        theta = np.array([res.estimates[nm] for nm in res.std_errors])
-        np.testing.assert_allclose(calls[0][0], theta, rtol=1e-15)
-        moved = calls[0][1:] != calls[0][0]
-        assert moved.sum(axis=1).tolist() == [1] * (2 * m)
-        assert moved.argmax(axis=1).tolist() == list(range(m)) * 2
+        assert len(calls) == 1
+        e = res.estimates
+        expect = ([1.0, e["beta1"], 1.0, e["beta2"], e["rho"]] if model == "m2" else
+                  [e[nm] for nm in ("alpha1", "beta1", "alpha2", "beta2", "rho")])
+        np.testing.assert_allclose(calls[0], expect, rtol=1e-15)
 
     @pytest.mark.parametrize("fit", _SE_FITS.values(), ids=_SE_FITS.keys())
     def test_a_fit_with_standard_errors_makes_n_evals_kernel_calls(self, monkeypatch, fit):
-        calls = _counting_score(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
         _, res = fit()
         # the search's evaluations only
         assert len(calls) == res.n_evals
@@ -1004,18 +1057,10 @@ class TestStandardErrors:
     def test_both_routes_give_the_same_standard_errors(self, monkeypatch, fit):
         # the fit's standard errors from its final evaluation, and those of
         # compute_se on a copy from one evaluation at z(theta-hat): bit for
-        # bit where z(theta-hat) is the fit's last point, and to 1e-11
-        # where exp and log or expit and logit moved it by rounding (about
-        # 1e-16 in z, which the central difference over h = 1e-4 turns into
-        # about 1e-12 relative)
-        points = []
-        build = fitting._objective
-
-        def spy(*args):
-            objective = build(*args)
-            return lambda z, *box: points.append(z) or objective(z, *box)
-
-        monkeypatch.setattr(fitting, "_objective", spy)
+        # bit where z(theta-hat) is the fit's last point, and to 1e-13
+        # where exp and log or expit and logit moved it by rounding, about
+        # 1e-16 in z
+        evaluations = _recorded_evaluations(monkeypatch)
         data, res = fit()
         assert "box_edge" not in res.diagnostics
         monkeypatch.undo()
@@ -1023,76 +1068,64 @@ class TestStandardErrors:
         compute_se(data, again)
         names, kinds = zip(*fitting._MEMBERS[res.model][0].items())
         theta = np.array([res.estimates[nm] for nm in names])
-        rtol = 0 if np.array_equal(_to_free(kinds, theta), points[-1]) else 1e-11
+        rtol = 0 if np.array_equal(_to_free(kinds, theta), evaluations[-1][0]) else 1e-13
         expect, got = (np.array(list(r.std_errors.values())) for r in (res, again))
         np.testing.assert_allclose(got, expect, rtol=rtol, atol=0, equal_nan=True)
 
-    def test_rejected_probe_voids_every_standard_error(self, monkeypatch):
-        # one rejected probe leaves a NaN in the Hessian, whose inverse
-        # can still have finite entries elsewhere on its diagonal
-        res = _vannman_fit("m3")
-        _counting_score(monkeypatch, reject=2)
-        compute_se(vannman_data(), res)
-        assert res.diagnostics["hessian"] == "rejected probe"
+    def test_rejected_point_voids_every_standard_error(self):
+        # a fit from a start past the parameter space (GFGM rho = 1.5) is
+        # rejected at its first evaluation and takes no step: the Hessian
+        # it hands on is NaN, whose inverse can still have finite entries
+        data = vannman_data()
+        start = _start(data, "m3", 0.3, 1.4)
+        start[4] = 1.5
+        res = _fit(data, "m3", start, compute_ses=True, d=1.4)
+        assert res.loglik == -np.inf and res.n_evals == 1 and res.iterations == 0
+        assert res.diagnostics["hessian"] == "rejected point"
         assert all(math.isnan(se) for se in res.std_errors.values())
         assert all(math.isnan(pv) for pv in res.p_values.values())
 
-    def test_probe_past_the_parameter_space_is_rejected(self):
-        # the GFGM M3 fit has rho-hat on 1; unflagged by hand, rho's probe
-        # lies past 1, where the kernel still returns a finite score
+    def test_point_past_the_parameter_space_is_rejected(self):
+        # the GFGM M3 fit has rho-hat on 1; moved past it and unflagged by
+        # hand, rho lies where the kernel still returns a finite score
         res = _vannman_fit("m3")
         assert res.estimates["rho"] == 1.0
+        res.estimates["rho"] = 1.0 + 1e-4
         res.boundary_flags.remove("rho")
         compute_se(vannman_data(), res)
-        assert res.diagnostics["hessian"] == "rejected probe"
+        assert res.diagnostics["hessian"] == "rejected point"
         assert all(math.isnan(se) for se in res.std_errors.values())
         assert all(math.isnan(pv) for pv in res.p_values.values())
 
     def test_indefinite_information_voids_every_standard_error(self, monkeypatch):
-        # with the score's sign flipped the optimum is a minimum, whose
-        # observed information is negative definite
+        # with the signs of the score and the Hessian flipped the optimum is
+        # a minimum, whose observed information is negative definite
         res = _vannman_fit("m2")
-        build = fitting._member_score
-
-        def flipped(*args):
-            score = build(*args)
-
-            def negated(points):
-                ll, g = score(points)
-                return ll, -g
-
-            return negated
-
-        monkeypatch.setattr(fitting, "_member_score", flipped)
+        _recorded_evaluations(monkeypatch, change=lambda ll, g, H: (ll, -g, -H))
         compute_se(vannman_data(), res)
         assert res.diagnostics["hessian"] == "not positive definite"
         assert all(math.isnan(se) for se in res.std_errors.values())
         assert all(math.isnan(pv) for pv in res.p_values.values())
 
     @pytest.mark.parametrize("model", ["m2", "m3", "m3-gaussian"])
-    def test_score_rows_equal_the_objective_at_each_point(self, model):
-        # a K-point call gives each point the log-likelihood and score that
-        # a call on that point alone gives, bit for bit: rows on the plateau,
-        # past the square, and a rejected point
+    def test_evaluator_rejects_a_point_past_the_parameter_space(self, model):
+        # rho past 1, where the kernel's value and derivatives are finite
+        # for GFGM: (-inf, 0, NaN), as for any rejected point
         data = vannman_data()
         if model == "m2":
-            args = ("m2", data)
-            theta = np.array([1.9, 0.7, 0.4])
+            args, theta = ("m2", data), np.array([1.9, 0.7, 1.0 + 1e-9])
         else:
             family = "gaussian" if model == "m3-gaussian" else "gfgm"
             args = ("m3", data, 1.4, family, 1.0, 1.0)
-            theta = np.array([2.7, 7.7, 1.0, 3.3, 0.6, 0.58])
-        rng = np.random.default_rng(3)
-        points = theta * np.exp(0.1 * rng.standard_normal((6, len(theta))))
-        points[-1, 0] = -1.0
-        score = fitting._member_score(*args)
-        ll, g = score(points)
-        for point, value, row in zip(points, ll, g):
-            alone = score(point[None])
-            assert np.array_equal([value], alone[0], equal_nan=True)
-            assert np.array_equal(row[None], alone[1], equal_nan=True)
-        assert np.isfinite(ll[:-1]).all() and np.isfinite(g[:-1]).all()
-        assert np.isnan(ll[-1]) and np.isnan(g[-1]).all()
+            theta = np.array([2.7, 7.7, 1.0, 3.3, 1.0 + 1e-9, 0.58])
+        names, kinds = zip(*fitting._MEMBERS[args[0]][0].items())
+        objective = _objective(*args)
+        ll, g, H = objective(_to_free(kinds, theta))
+        assert ll == -np.inf and not g.any() and np.isnan(H).all()
+        # and the same point with rho inside
+        theta[names.index("rho")] = 0.6
+        ll, g, H = objective(_to_free(kinds, theta))
+        assert np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all()
 
 
 def _vannman_board_21_x(value):
