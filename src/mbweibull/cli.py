@@ -151,7 +151,18 @@ def _print_fit(result):
         print("warning: optimizer did not converge")
 
 
+# M3's copula and stage-1 flags at their defaults. M1 and M2 fix a GFGM
+# copula with a = b = 1 and estimate no d, so they refuse any other value
+_M3_FLAGS = {"copula": "gfgm", "copula_a": 1.0, "copula_b": 1.0, "minpts": 4, "eps": None}
+
+
 def cmd_fit(args) -> int:
+    if args.model != "m3":
+        refused = [f"--{k.replace('_', '-')} {getattr(args, k)}"
+                   for k, v in _M3_FLAGS.items() if getattr(args, k) != v]
+        if refused:
+            raise DomainError(f"--model {args.model} takes no {', '.join(refused)}: "
+                              "it fixes a GFGM(1, 1) copula and estimates no d")
     data = VANNMAN_DATA if args.data == "vannman" else _read_xy_csv(args.data)
     result = _fit_one(data, args)
     _print_fit(result)
@@ -280,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV path, or 'vannman'")
     p.add_argument("--model", choices=["m1", "m2", "m3"], default="m3")
     _add_model_flags(p, _COPULA_FLAGS)
-    p.add_argument("--minpts", type=int, default=4)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--minpts", type=int, default=_M3_FLAGS["minpts"])
+    p.add_argument("--eps", type=float, default=_M3_FLAGS["eps"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 

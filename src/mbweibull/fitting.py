@@ -10,9 +10,9 @@ derivatives summed as the mixture weighs them; the final evaluation's
 Hessian is the observed information behind the standard errors. M3 reports
 ``loglik_mbw`` at its estimates.
 Comparison models: M1 (independent exponential margins, closed form) and
-M2 (FGM-coupled exponential margins). M2 is M3 with fixed values: shapes
-1, a GFGM(rho, 1, 1) copula and no uniform component, fitted by the same
-stage-2 code on the same kernel.
+M2 (FGM-coupled exponential margins). M2 is M3 with shapes 1, a GFGM(rho,
+1, 1) copula and p = 0: its fit frees three positions of M3's parameter
+vector and runs M3's evaluator with every row past its absent square.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -158,30 +158,24 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-# Each parameter kind fixes the optimizer's coordinate for a value, its
-# inverse, the distance from a value to the edge of the parameter space,
-# the derivative of the value in its coordinate, which maps the standard
-# errors to the parameters, and the closed bounds of its space. Shapes and
-# scales are both of kind "scale"; rho, of kind "box", is its own
-# coordinate and keeps to its copula's space by the search box.
-_KINDS = {
-    "scale": (np.log, np.exp, lambda t: np.inf, lambda t: t, (0.0, np.inf)),
-    "box": (lambda t: t, lambda t: t, lambda t: 1.0 - abs(t), np.ones_like, (-1.0, 1.0)),
-    "logit": (logit, expit, lambda t: min(t, 1.0 - t), lambda t: t * (1.0 - t), (0.0, 1.0)),
-}
+# Stage 2's parameter vector theta is PARAM_NAMES without d: the kernel's
+# five bulk parameters, then p. Each position has a fixed coordinate for the
+# optimizer: log for a shape or scale, rho as itself and logit for p.
+_NAMES = tuple(nm for nm in PARAM_NAMES if nm != "d")
+_RHO, _P = 4, 5
+# the positions on a log scale, where dtheta/dz = d2theta/dz2 = theta
+_LOG = np.arange(len(_NAMES)) < _RHO
 
 # A parameter closer than this to the edge of its space is on its boundary:
 # the fit flags it and compute_se holds it fixed.
 _BOUNDARY_GAP = 1e-3
 
-# The nested family M2 within M3, by model name: the free parameters and
-# their kinds, and k. M2 is M3 with shapes fixed at 1, a GFGM copula with
-# a = b = 1 and no uniform component; M3's k counts its plugged-in d.
-_MEMBERS = {
-    "m2": ({"beta1": "scale", "beta2": "scale", "rho": "box"}, 3),
-    "m3": ({"alpha1": "scale", "beta1": "scale", "alpha2": "scale", "beta2": "scale",
-            "rho": "box", "p": "logit"}, 7),
-}
+# The nested family M2 within M3, by model name: the positions of theta it
+# frees, and k. A member holds the others at _HELD, shapes 1 and p 0, so M2
+# is M3 with shapes 1, a GFGM(rho, 1, 1) copula and no uniform component;
+# M3's k counts its plugged-in d.
+_MEMBERS = {"m2": (np.array([1, 3, 4]), 3), "m3": (np.arange(len(_NAMES)), 7)}
+_HELD = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 # The search box of stage 2: a log or logit coordinate moves at most
 # _REACH from its start, and rho stays in its copula's space, closed for
@@ -201,90 +195,87 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 
 
-# These three map one point coordinate-wise.
-def _to_free(kinds, theta) -> np.ndarray:
-    return np.array([_KINDS[k][0](t) for k, t in zip(kinds, theta)])
+def _z(theta) -> np.ndarray:
+    """The optimizer's coordinates of a whole vector theta."""
+    return np.concatenate([np.log(theta[:_RHO]), theta[_RHO:_P], logit(theta[_P:])])
 
 
-def _from_free(kinds, z) -> np.ndarray:
-    return np.array([_KINDS[k][1](v) for k, v in zip(kinds, z)])
+def _theta(z) -> np.ndarray:
+    """The whole vector theta at the optimizer's coordinates z."""
+    return np.concatenate([np.exp(z[:_RHO]), z[_RHO:_P], expit(z[_P:])])
 
 
-def _free_slope(kinds, theta) -> np.ndarray:
-    return np.array([_KINDS[k][3](t) for k, t in zip(kinds, theta)])
+def _whole(free, values, held=_HELD) -> np.ndarray:
+    """The whole vector: ``values`` at the positions ``free``, else ``held``."""
+    whole = held.copy()
+    whole[free] = values
+    return whole
+
+
+_HELD_Z = _z(_HELD)
 
 
 def _objective(model, data, d=None, family=None, a=None, b=None):
     """Stage 2's evaluator for member ``model`` on ``data``; M3 also takes
     its plugged-in d and its copula. A bad setting (model, family, GFGM
     exponent, d) raises DomainError here, once. The function returned maps a
-    point z of the optimizer's coordinates, in one one-point kernel call and
-    without a warning, to the log-likelihood, summed in log space over the
-    rows ``loglik_mbw`` counts (all rows for M2), and its gradient and
-    Hessian in z; (-inf, 0, NaN) for a point past the edge of the parameter
-    space or where any of the three is not finite.
+    point z of the optimizer's coordinates at the member's free positions,
+    in one one-point kernel call and without a warning, to the
+    log-likelihood, summed in log space over the rows ``loglik_mbw`` counts,
+    and its gradient and Hessian in z; (-inf, 0, NaN) for a point past the
+    edge of the parameter space or where any of the three is not finite.
 
-    M3 sums each row's bulk derivatives weighted by the row's bulk share w,
-    plus w (1 - w) s s^T in the Hessian, and takes logit p's derivatives in
-    their own coordinate. M2 takes the (beta1, beta2, rho) block of the
-    kernel at alpha = 1."""
+    Every member runs M3's mixture sum at its whole theta: each row's bulk
+    derivatives weighted by the row's bulk share w, plus w (1 - w) s s^T in
+    the Hessian, and logit p's derivatives in their own coordinate. M2 has
+    no square, so every row counts and lies past it, and at p = 0 the sum
+    is M2's likelihood; the derivatives at its held positions, which may
+    not be finite on a row with a zero, are dropped."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
         c = GfgmParams(0.0)
+        past, log_area = np.ones(len(x), dtype=bool), 0.0
     elif model == "m3":
         # the settings are valid when they make a model with some free values
         c = mbw_params(1.0, 1.0, 1.0, 1.0, 0.0, d, 0.5, family, a, b).base.copula
         keep, past = _kept_rows(x, y, RectUniform(0.0, 0.0, d))
         x, y = x[keep], y[keep]
+        log_area = 2 * np.log(d)
     else:
         raise DomainError(f"unknown model {model!r}")
-    kinds = list(_MEMBERS[model][0].values())
-    m = len(kinds)
-    # a point on the edge of the parameter space has no finite score
-    lo, hi = np.array([_KINDS[k][4] for k in kinds]).T
-    # the coordinates on a log scale, where dtheta/dz = d2theta/dz2 = theta;
-    # rho is its own coordinate, and M3 takes logit p's derivatives in their
-    # own coordinate
-    log_scale = np.array([k == "scale" for k in kinds])
-    # M2's (beta1, beta2, rho) in the kernel's theta
-    m2_block = [1, 3, 4]
+    free = _MEMBERS[model][0]
+    m, block, log_scale = len(free), np.ix_(free, free), _LOG[free]
 
     def objective(z):
-        theta = _from_free(kinds, z)
+        theta = _theta(_whole(free, z, _HELD_Z))
         with np.errstate(all="ignore"):
-            if model == "m2":
-                # M2 takes no shape derivatives, which are not finite on a
-                # row with a zero
-                b1, b2, rho = theta
-                logf, S, H = _log_density_score(x, y, (1.0, b1, 1.0, b2, rho), c)
-                ll = logf.sum()
-                g, H = S.sum(axis=0)[m2_block], H.sum(axis=0)[np.ix_(m2_block, m2_block)]
-            else:
-                logf, S, Hr = _log_density_score(x, y, theta[:5], c)
-                p = theta[5]
-                # the logs of the plateau's density p/d^2 and of the bulk's q f
-                plateau, bulk = np.log(p) - 2 * np.log(d), np.log1p(-p) + logf
-                ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
-                # a row on the plateau weighs its bulk derivatives by its bulk
-                # share q f / (p/d^2 + q f); a row past the square has share 1
-                w = np.where(past, 1.0, expit(bulk - plateau))
-                # a row whose share underflowed has no bulk density left to
-                # differentiate, and its derivatives may be NaN
-                gone = w == 0
-                if gone.any():
-                    S[gone], Hr[gone] = 0.0, 0.0
-                v = w * (1 - w)
-                vS = v @ S
-                g, H = np.empty(6), np.empty((6, 6))
-                g[:5], g[5] = w @ S, len(w) * (1 - p) - w.sum()
-                H[:5, :5] = (w @ Hr.reshape(len(w), 25)).reshape(5, 5) + (S.T * v) @ S
-                H[5, :5] = H[:5, 5] = -vS
-                H[5, 5] = v.sum() - len(w) * p * (1 - p)
+            logf, S, Hr = _log_density_score(x, y, theta[:_P], c)
+            p = theta[_P]
+            # the logs of the plateau's density p/d^2 and of the bulk's q f
+            plateau, bulk = np.log(p) - log_area, np.log1p(-p) + logf
+            ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
+            # a row on the plateau weighs its bulk derivatives by its bulk
+            # share q f / (p/d^2 + q f); a row past the square has share 1
+            w = np.where(past, 1.0, expit(bulk - plateau))
+            # a row whose share underflowed has no bulk density left to
+            # differentiate, and its derivatives may be NaN
+            gone = w == 0
+            if gone.any():
+                S[gone], Hr[gone] = 0.0, 0.0
+            v = w * (1 - w)
+            vS = v @ S
+            g, H = np.empty(6), np.empty((6, 6))
+            g[:5], g[5] = w @ S, len(w) * (1 - p) - w.sum()
+            H[:5, :5] = (w @ Hr.reshape(len(w), 25)).reshape(5, 5) + (S.T * v) @ S
+            H[5, :5] = H[:5, 5] = -vS
+            H[5, 5] = v.sum() - len(w) * p * (1 - p)
+            g, H, t = g[free], H[block], theta[free]
             # the chain rule to z: H gains g times d2theta/dz2
-            slope = np.where(log_scale, theta, 1.0)
-            H = H * np.outer(slope, slope) + np.diag(np.where(log_scale, g * theta, 0.0))
+            slope = np.where(log_scale, t, 1.0)
+            H = H * np.outer(slope, slope) + np.diag(np.where(log_scale, g * t, 0.0))
             g = g * slope
-        if (((theta < lo) | (theta > hi)).any()
+        # the kernel still returns finite values for a GFGM rho past 1
+        if (abs(theta[_RHO]) > 1
                 or not (np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all())):
             return -np.inf, np.zeros(m), np.full((m, m), np.nan)
         return float(ll), g, H
@@ -344,15 +335,10 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
             (a1, b1), (a2, b2) = map(_weibull_plot, margins)
             rho = _rho_from_spearman(_spearman(xp, yp), family, a, b)
             return np.array([a1, b1, a2, b2, rho, p])
-    guess = {
-        "alpha1": 1.5,
-        "beta1": x.mean() or 1.0,
-        "alpha2": 1.5,
-        "beta2": y.mean() or 1.0,
-        "rho": float(np.clip(_spearman(x, y), -0.95, 0.95)),
-        "p": p,
-    }
-    return np.array([guess[nm] for nm in _MEMBERS[model][0]])
+    rho = np.clip(_spearman(x, y), -0.95, 0.95)
+    # M2 is given no p, which it holds: its None becomes a NaN dropped here
+    plain = np.array([1.5, x.mean() or 1.0, 1.5, y.mean() or 1.0, rho, p], dtype=float)
+    return plain[_MEMBERS[model][0]]
 
 
 def _damped_step(A, g) -> tuple:
@@ -371,8 +357,8 @@ def _damped_step(A, g) -> tuple:
 def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     """Maximize the log-likelihood of member ``model`` from ``theta0`` by
     projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in the
-    kinds' coordinates, within the search box of ``_REACH`` and ``_RHO_BOX``.
-    ``n_evals`` counts the calls of the ``_objective`` built here. An
+    coordinates of its free positions, within the search box of ``_REACH``
+    and ``_RHO_BOX``. ``n_evals`` counts the calls of the ``_objective`` built here. An
     iteration holds each coordinate on a bound of the box whose gradient
     points out, takes the others' block of the last Hessian, steps by
     ``_damped_step``, and halves the step, projected onto the box, until an
@@ -380,11 +366,11 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     ``_DECREMENT``, before that step's evaluation (Boyd & Vandenberghe 2004,
     Alg. 9.5), and ``compute_se`` takes the Hessian of the last one. The fit
     has converged when it stopped so with an undamped Hessian, so negative
-    definite over the free coordinates (Nocedal & Wright 2006, Thm. 2.4),
+    definite over the moving coordinates (Nocedal & Wright 2006, Thm. 2.4),
     and the box stopped no log or logit coordinate short. ``fixed`` holds
     the plugged-in parameters reported beside the estimates."""
-    params, k = _MEMBERS[model]
-    kinds = list(params.values())
+    free, k = _MEMBERS[model]
+    names = [_NAMES[i] for i in free]
     diagnostics = diagnostics or {}
     get = diagnostics.get
     objective = _objective(model, data, fixed.get("d"), get("copula_family", "gfgm"),
@@ -396,23 +382,23 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
         n_evals += 1
         return objective(z)
 
-    z = _to_free(kinds, theta0)
+    z = _z(_whole(free, theta0))[free]
     ll, g, H = ascent(z)
-    rho_box = _RHO_BOX[get("copula_family", "gfgm")]
-    lo, hi = np.array([rho_box if kind == "box" else (v - _REACH, v + _REACH)
-                       for kind, v in zip(kinds, z)]).T
+    lo, hi = z - _REACH, z + _REACH
+    is_rho = free == _RHO
+    lo[is_rho], hi[is_rho] = _RHO_BOX[get("copula_family", "gfgm")]
     nit, at_maximum = 0, False
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
-        free = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
-        lam, step = _damped_step(-H[np.ix_(free, free)], g[free])
+        moving = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
+        lam, step = _damped_step(-H[np.ix_(moving, moving)], g[moving])
         # once the decrement is small the quadratic model holds and its step
         # would gain almost nothing: the fit ends here without evaluating it
-        if g[free] @ step <= _DECREMENT * (1.0 + abs(ll)):
+        if g[moving] @ step <= _DECREMENT * (1.0 + abs(ll)):
             at_maximum = lam == 0
             break
         direction = np.zeros(len(z))
-        direction[free] = step
+        direction[moving] = step
         for t in 0.5 ** np.arange(_HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
             ll_trial, g_trial, H_trial = ascent(trial)
@@ -425,19 +411,22 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
         else:
             # no step along the direction gains
             break
-    theta = _from_free(kinds, z)
-    flags = sorted(nm for nm, kind, t in zip(params, kinds, theta)
-                   if _KINDS[kind][2](t) < _BOUNDARY_GAP)
+    theta = _theta(_whole(free, z, _HELD_Z))
+    # each position's distance to the edge of its space: rho's to -1 and 1,
+    # p's to 0 and 1; a shape or scale has none
+    gap = np.array([np.inf] * _RHO + [1.0 - abs(theta[_RHO]), min(theta[_P], 1.0 - theta[_P])])
+    flagged = gap[free] < _BOUNDARY_GAP
     # the box edge stops a coordinate short unless it stands in for the edge
-    # of the space past it, as for p = 0, where the parameter is flagged
-    edge = [nm for nm, kind, v, a, b in zip(params, kinds, z, lo, hi)
-            if kind != "box" and not a < v < b and nm not in flags]
-    interior = [nm not in flags and nm not in edge for nm in params]
+    # of the space past it, as for p = 0, where the parameter is flagged;
+    # rho's box is its space
+    short = ~(flagged | is_rho | ((lo < z) & (z < hi)))
+    flags = sorted(nm for nm, f in zip(names, flagged) if f)
+    edge = [nm for nm, s in zip(names, short) if s]
     # the score left at the end, in the optimizer's coordinates
-    diagnostics["score_max"] = float(np.max(np.abs(g[interior]), initial=0.0))
+    diagnostics["score_max"] = float(np.max(np.abs(g[~(flagged | short)]), initial=0.0))
     if edge:
         diagnostics["box_edge"] = edge
-    result = FitResult(model, {**dict(zip(params, theta.tolist())), **fixed}, float(ll), k,
+    result = FitResult(model, {**dict(zip(names, theta[free].tolist())), **fixed}, float(ll), k,
                        converged=bool(at_maximum and not edge), iterations=nit,
                        n_evals=n_evals, boundary_flags=flags, diagnostics=diagnostics)
     if compute_ses:
@@ -508,8 +497,8 @@ def fit_m1(data) -> FitResult:
 
 
 def fit_m2(data) -> FitResult:
-    """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1, no
-    uniform component), fitted over (beta1, beta2, rho)."""
+    """FGM-coupled exponential margins (M3 with shapes 1, a = b = 1 and p =
+    0), fitted over (beta1, beta2, rho) by M3's evaluator."""
     data = _as_data(data)
     return _fit(data, "m2", _start(data, "m2"), compute_ses=True)
 
@@ -538,12 +527,13 @@ def compute_se(data, result: FitResult, hessian=None) -> dict:
         # built first, since it rejects an unknown model
         objective = _objective(result.model, data, result.estimates.get("d"),
                                get("copula_family"), get("copula_a"), get("copula_b"))
-    names, kinds = zip(*_MEMBERS[result.model][0].items())
-    theta = np.array([result.estimates[nm] for nm in names])
+    free = _MEMBERS[result.model][0]
+    names = [_NAMES[i] for i in free]
+    theta = _whole(free, [result.estimates[nm] for nm in names])
     if hessian is None:
-        hessian = objective(_to_free(kinds, theta))[2]
-    free = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
-    H = hessian[np.ix_(free, free)]
+        hessian = objective(_z(theta)[free])[2]
+    kept = [i for i, nm in enumerate(names) if nm not in result.boundary_flags]
+    H = hessian[np.ix_(kept, kept)]
     se = np.full(len(names), np.nan)
     if not np.all(np.isfinite(H)):
         result.diagnostics["hessian"] = "rejected point"
@@ -552,7 +542,10 @@ def compute_se(data, result: FitResult, hessian=None) -> dict:
             diag = np.diag(np.linalg.inv(-H))
             if (diag <= 0).any():
                 raise np.linalg.LinAlgError("non-positive variance")
-            se[free] = np.abs(_free_slope(kinds, theta)[free]) * np.sqrt(diag)
+            # dtheta/dz: theta on a log scale, 1 for rho and p (1 - p) for p
+            slope = np.where(_LOG, theta, 1.0)
+            slope[_P] = theta[_P] * (1.0 - theta[_P])
+            se[kept] = np.abs(slope[free][kept]) * np.sqrt(diag)
         except np.linalg.LinAlgError:
             result.diagnostics["hessian"] = "not positive definite"
     result.std_errors = dict(zip(names, se.tolist()))

@@ -138,7 +138,8 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
 
     Returns an (n, 5) array, one row per grid node, y varying fastest.
     """
-    if step <= 0 or x_stop < x_start or y_stop < y_start:
+    finite = np.isfinite([x_start, x_stop, y_start, y_stop, step]).all()
+    if not (finite and step > 0 and x_start <= x_stop and y_start <= y_stop):
         raise DomainError("invalid grid specification")
     xs = np.arange(x_start, x_stop + 0.5 * step, step)
     ys = np.arange(y_start, y_stop + 0.5 * step, step)

@@ -167,6 +167,40 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model", ["m1", "m2"])
+    @pytest.mark.parametrize("flags", [
+        ["--copula", "gaussian"], ["--copula-a", "2"], ["--copula-b", "0.5"],
+        ["--copula-a", "nan"], ["--eps", "0.5"], ["--minpts", "5"],
+        ["--copula", "gaussian", "--eps", "0.5"],
+    ], ids=["gaussian", "a-2", "b-0.5", "a-nan", "eps", "minpts", "gaussian-eps"])
+    def test_m1_m2_refuse_the_flags_they_fix(self, tmp_path, monkeypatch, capsys, model, flags):
+        # neither model has a copula setting or a stage 1: a flag away from
+        # the GFGM(1, 1) copula or the stage-1 defaults exits 2 before any fit
+        calls = []
+        monkeypatch.setattr(cli, f"fit_{model}", lambda data: calls.append(data))
+        out = tmp_path / "f.json"
+        argv = ["fit", "--data", "vannman", "--model", model, *flags, "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in flags)
+        assert calls == [] and not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("model", ["m1", "m2"])
+    def test_m1_m2_take_the_values_they_fix(self, tmp_path, capsys, model):
+        # the values the models fix, given explicitly, write the same bytes
+        # as the command without them
+        runs = [[], ["--copula", "gfgm", "--copula-a", "1", "--copula-b", "1.0",
+                     "--minpts", "4"]]
+        written = []
+        for i, flags in enumerate(runs):
+            out = str(tmp_path / f"f{i}.json")
+            assert main(["fit", "--data", "vannman", "--model", model, *flags,
+                         "--out", out]) == EXIT_OK
+            written.append((capsys.readouterr().out, _read(out),
+                            _read(out + ".manifest.json")))
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("flags", [
         ["--copula-a", "0.5"], ["--copula-b", "0.5"], ["--copula-a", "nan"],
         ["--copula-a", "inf"],
@@ -408,7 +442,7 @@ class TestHazardGrid:
 
     @pytest.mark.parametrize("command", [
         ["hazard-grid", "--x-min", "0.2", "--x-max", "0.3", "--y-min", "0.2", "--y-max", "0.3"],
-        ["fit", "--data", "vannman", "--model", "m1"],
+        ["fit", "--data", "vannman", "--model", "m3"],
     ])
     def test_manifest_records_copula_exponents(self, tmp_path, command):
         out = tmp_path / "out"

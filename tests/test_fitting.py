@@ -51,13 +51,11 @@ from mbweibull.errors import (
 from mbweibull.copulas import copula_cdf
 from mbweibull.fitting import (
     _fit,
-    _from_free,
     _objective,
     _ranks,
     _rho_from_spearman,
     _spearman,
     _start,
-    _to_free,
     _weibull_plot,
 )
 from mbweibull.mixture import PARAM_NAMES, mbw_params
@@ -73,12 +71,27 @@ def _mix(a1, b1, a2, b2, rho, d, p):
     )
 
 
+def _member_names(model):
+    return [fitting._NAMES[i] for i in fitting._MEMBERS[model][0]]
+
+
+def _member_z(model, theta):
+    # the optimizer's coordinates of member ``model`` at its parameters theta
+    free = fitting._MEMBERS[model][0]
+    return fitting._z(fitting._whole(free, theta))[free]
+
+
+def _member_theta(model, z):
+    # the member's parameters at the optimizer's coordinates z
+    free = fitting._MEMBERS[model][0]
+    return fitting._theta(fitting._whole(free, z, fitting._HELD_Z))[free]
+
+
 def _evaluate(model, data, *settings):
     # the stage-2 evaluator at a point theta of the member's parameters: the
     # log-likelihood and its gradient in the optimizer's coordinates
-    kinds = list(fitting._MEMBERS[model][0].values())
     objective = _objective(model, data, *settings)
-    return lambda theta: objective(_to_free(kinds, theta))[:2]
+    return lambda theta: objective(_member_z(model, theta))[:2]
 
 
 def _m2_loglik(data, theta) -> float:
@@ -96,11 +109,10 @@ def _m2_loglik(data, theta) -> float:
     return float(np.sum(np.log(f)))
 
 
-class TestParamKinds:
+class TestCoordinates:
     def test_roundtrip(self):
-        kinds = ["scale", "scale", "box", "logit"]
-        theta = np.array([2.5, 0.01, -0.73, 0.9])
-        back = _from_free(kinds, _to_free(kinds, theta))
+        theta = np.array([2.5, 0.01, 40.0, 1e-5, -0.73, 0.9])
+        back = fitting._theta(fitting._z(theta))
         assert np.allclose(back, theta, rtol=1e-12)
 
 
@@ -249,11 +261,10 @@ class TestLoglik:
             np.column_stack([b1 * rng.weibull(a1, 6), b2 * rng.weibull(a2, 6)]),
             ties,
         ])
-        kinds = list(fitting._MEMBERS["m3"][0].values())
-        z = _to_free(kinds, np.array([a1, b1, a2, b2, rho, p]))
+        z = _member_z("m3", np.array([a1, b1, a2, b2, rho, p]))
         ll, g, H = _objective("m3", data, d, family, 1.0, 1.0)(z)
         # the point the evaluator took
-        theta = _from_free(kinds, z)
+        theta = _member_theta("m3", z)
         m = mbw_params(*theta[:5], d, theta[5], family, 1.0, 1.0)
         try:
             expect = loglik_mbw(data, m)
@@ -415,15 +426,14 @@ class TestFitMbw:
         # jittered starting points land on the same optimum
         data = vannman_data()
         d_hat, c1 = estimate_d(data, DbscanParams(4, 1.6))
-        kinds = list(fitting._MEMBERS["m3"][0].values())
         theta0 = np.array(
             [1.5, data[:, 0].mean(), 1.5, data[:, 1].mean(), 0.9, len(c1) / len(data)]
         )
         rng = np.random.default_rng(7)
         lls = []
         for _ in range(5):
-            z0 = _to_free(kinds, theta0) + rng.normal(0, 0.02, 6)
-            res = _fit(data, "m3", _from_free(kinds, z0), compute_ses=False, d=d_hat)
+            z0 = _member_z("m3", theta0) + rng.normal(0, 0.02, 6)
+            res = _fit(data, "m3", _member_theta("m3", z0), compute_ses=False, d=d_hat)
             lls.append(res.loglik)
         assert max(lls) - min(lls) < 1e-3
 
@@ -629,10 +639,9 @@ class TestOptimizer:
         assert hessians[-1].shape == (5, 5)
         # the score left at the end, in the optimizer's coordinates at the
         # last point evaluated, over every parameter but the flagged rho
-        kinds = list(fitting._MEMBERS["m3"][0].values())
         z = evaluations[-1][0]
-        theta = np.array([res.estimates[nm] for nm in fitting._MEMBERS["m3"][0]])
-        assert np.array_equal(_from_free(kinds, z), theta)
+        theta = np.array([res.estimates[nm] for nm in _member_names("m3")])
+        assert np.array_equal(_member_theta("m3", z), theta)
         ll, g, H = _objective("m3", vannman_data(), 1.4, "gfgm", 1.0, 1.0)(z)
         assert res.diagnostics["score_max"] == np.delete(np.abs(g), 4).max()
         # what the stop certifies: the Newton decrement over the free block
@@ -713,6 +722,29 @@ class TestOptimizer:
         assert res.estimates["p"] < 1e-8
         assert res.loglik == pytest.approx(full.loglik, abs=1e-6)
 
+    @pytest.mark.parametrize("model, theta0, flags", [
+        ("m3", (1.5, 2.0, 1.5, 2.0, -1 + 1e-4, 0.3), ["rho"]),
+        ("m3", (1.5, 2.0, 1.5, 2.0, 1 - 1e-4, 0.3), ["rho"]),
+        ("m3", (1.5, 2.0, 1.5, 2.0, 0.5, 1e-4), ["p"]),
+        ("m3", (1.5, 2.0, 1.5, 2.0, 0.5, 1 - 1e-4), ["p"]),
+        ("m3", (1e-8, 1e8, 1e8, 1e-8, -1 + 1e-4, 1 - 1e-4), ["p", "rho"]),
+        ("m3", (1e-8, 1e-8, 1e8, 1e8, 0.5, 0.3), []),
+        ("m2", (1e-8, 1e8, 1 - 1e-4), ["rho"]),
+        ("m2", (1e8, 1e-8, 0.5), []),
+    ], ids=["rho-to-minus-1", "rho-to-1", "p-to-0", "p-to-1", "all-edges", "m3-interior",
+            "m2-rho-to-1", "m2-interior"])
+    def test_boundary_rule(self, monkeypatch, model, theta0, flags):
+        # on a flat likelihood the fit ends where it starts, and flags rho
+        # within _BOUNDARY_GAP of -1 or 1 and p within it of 0 or 1; a shape
+        # or a scale has no edge to be near, and M2 holds p at 0 unflagged
+        monkeypatch.setattr(fitting, "_objective", lambda *args: (
+            lambda z: (0.0, np.zeros(len(z)), -np.eye(len(z)))))
+        fixed = {"d": 1.4} if model == "m3" else {}
+        res = _fit(vannman_data(), model, np.array(theta0), compute_ses=False, **fixed)
+        assert res.n_evals == 1 and res.converged
+        assert res.boundary_flags == flags
+        assert [res.estimates[nm] for nm in _member_names(model)] == pytest.approx(theta0)
+
     def test_spent_budget_is_not_converged(self, monkeypatch):
         # the fit converges in 8 evaluations
         monkeypatch.setattr(fitting, "_MAX_EVALS", 3)
@@ -766,9 +798,8 @@ class TestOptimizer:
         # rejects the point without a warning (an error in these tests)
         data = sample_mbw(100, _CRITERION_5_GAUSSIAN, SeededStream(1))
         theta = (1000.0, 0.01, 1000.0, 50.0, 1 - 1e-6, 0.3)
-        kinds = list(fitting._MEMBERS["m3"][0].values())
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
-        ll, g, H = objective(_to_free(kinds, np.array(theta)))
+        ll, g, H = objective(_member_z("m3", np.array(theta)))
         assert ll == -np.inf and not g.any() and np.isnan(H).all()
         m = mbw_params(*theta[:5], 0.1, theta[5], "gaussian", 1.0, 1.0)
         assert loglik_mbw(data, m) == -np.inf
@@ -854,8 +885,7 @@ def _member_point(copula, shapes, scales, rho, p, seed):
         data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
         model, settings = "m3", (d, *copula)
         theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
-    return _objective(model, data, *settings), _to_free(
-        list(fitting._MEMBERS[model][0].values()), theta)
+    return _objective(model, data, *settings), _member_z(model, theta)
 
 
 class TestScore:
@@ -913,7 +943,7 @@ class TestScore:
             np.column_stack([np.repeat([2.0, 1.5, 1.2, 1.1], 5), rng.uniform(0.5, 2.0, 20)]),
         ])
         objective = _objective("m3", data, 0.1, "gaussian", 1.0, 1.0)
-        z = _to_free(list(fitting._MEMBERS["m3"][0].values()), [alpha1, 0.6, 2.0, 1.0, 0.6, 0.5])
+        z = _member_z("m3", [alpha1, 0.6, 2.0, 1.0, 0.6, 0.5])
         ll, score, _ = objective(z)
         fd = _difference_gradient(objective, z)
         np.testing.assert_allclose(score, fd, rtol=0, atol=1e-6 * np.abs(score).max())
@@ -1066,9 +1096,8 @@ class TestStandardErrors:
         monkeypatch.undo()
         again = copy.deepcopy(res)
         compute_se(data, again)
-        names, kinds = zip(*fitting._MEMBERS[res.model][0].items())
-        theta = np.array([res.estimates[nm] for nm in names])
-        rtol = 0 if np.array_equal(_to_free(kinds, theta), evaluations[-1][0]) else 1e-13
+        theta = np.array([res.estimates[nm] for nm in _member_names(res.model)])
+        rtol = 0 if np.array_equal(_member_z(res.model, theta), evaluations[-1][0]) else 1e-13
         expect, got = (np.array(list(r.std_errors.values())) for r in (res, again))
         np.testing.assert_allclose(got, expect, rtol=rtol, atol=0, equal_nan=True)
 
@@ -1118,13 +1147,13 @@ class TestStandardErrors:
             family = "gaussian" if model == "m3-gaussian" else "gfgm"
             args = ("m3", data, 1.4, family, 1.0, 1.0)
             theta = np.array([2.7, 7.7, 1.0, 3.3, 1.0 + 1e-9, 0.58])
-        names, kinds = zip(*fitting._MEMBERS[args[0]][0].items())
+        names = _member_names(args[0])
         objective = _objective(*args)
-        ll, g, H = objective(_to_free(kinds, theta))
+        ll, g, H = objective(_member_z(args[0], theta))
         assert ll == -np.inf and not g.any() and np.isnan(H).all()
         # and the same point with rho inside
         theta[names.index("rho")] = 0.6
-        ll, g, H = objective(_to_free(kinds, theta))
+        ll, g, H = objective(_member_z(args[0], theta))
         assert np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all()
 
 

@@ -234,9 +234,19 @@ class TestHazardGrid:
         grid = hazard_grid(m, 0.3, 0.3, 0.2, 0.2, 0.5)
         assert grid.shape == (1, 5)
 
-    def test_bad_grid(self):
-        with pytest.raises(DomainError):
-            hazard_grid(_mix(), 1.0, 0.0, 0.0, 1.0, 0.1)
+    @pytest.mark.parametrize("spec", [
+        (1.0, 0.0, 0.0, 1.0, 0.1),
+        (0.0, 1.0, 0.0, 1.0, float("nan")),
+        (0.0, 1.0, 0.0, 1.0, float("inf")),
+        (0.0, float("inf"), 0.0, 1.0, 0.1),
+        (0.0, 1.0, 0.0, float("nan"), 0.1),
+        (float("-inf"), 1.0, 0.0, 1.0, 0.1),
+        (0.0, 1.0, float("nan"), 1.0, 0.1),
+    ], ids=["reversed", "nan-step", "inf-step", "inf-x-stop", "nan-y-stop", "-inf-x-start",
+            "nan-y-start"])
+    def test_bad_grid(self, spec):
+        with pytest.raises(DomainError, match="invalid grid specification"):
+            hazard_grid(_mix(), *spec)
 
 
 def _savetxt(table, header):
