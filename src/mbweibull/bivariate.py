@@ -126,16 +126,33 @@ def _gaussian_z(A):
     return z
 
 
+# Past this normal score, c = 1/R - z of the Mills ratio R = Phibar/phi is
+# taken from this many terms of R's continued fraction, which there agree
+# with it to the last bit
+_FAR_Z, _MILLS_TERMS = 10.0, 15
+
+
 def _gaussian_slopes(A, z):
     """k = A dz/dA of the normal score z = _gaussian_z(A), and A dk/dA = k (1
     + z k - A). In the lower tail k = A e^-A / phi(z) is formed in log
-    space; in the upper tail, where e^-A = Phibar(z), it is A Phibar(z) /
-    phi(z) = A sqrt(pi/2) erfcx(z/sqrt 2), which does not cancel as A
-    grows."""
+    space; in the upper tail, where e^-A = Phibar(z), it is A R with R =
+    Phibar(z)/phi(z) = sqrt(pi/2) erfcx(z/sqrt 2), which does not cancel as
+    A grows. There 1 + z k - A = 1 - A (1 - z R) = 1 - k c with c = 1/R -
+    z, whose terms z k and A cancel to about A 1e-16 relative; past _FAR_Z
+    it is taken as 1 - k c, with c = 1/(z + 2/(z + 3/(z + ...))), which
+    does not cancel."""
     A = np.maximum(A, _TINY)
     k = np.where(A < _LOG_2, np.exp(np.log(A) - A + 0.5 * z * z + _HALF_LOG_2PI),
                  A * _SQRT_HALF_PI * erfcx(_SQRT_HALF * z))
-    return k, k * (1 + z * k - A)
+    j = k * (1 + z * k - A)
+    far = z > _FAR_Z
+    if far.any():
+        zf, kf = z[far], k[far]
+        t = zf
+        for m in range(_MILLS_TERMS, 1, -1):
+            t = zf + m / t
+        j[far] = kf * (1 - kf / t)
+    return k, j
 
 
 def _log_density(x, y, theta, c):
@@ -163,15 +180,20 @@ def _log_density(x, y, theta, c):
     return np.where(np.isinf(E[0] + E[1] + gA + gB), -np.inf, logf), (E, L, g)
 
 
-# the upper triangle of a 5 x 5 matrix, off the diagonal
-_UPPER = np.triu_indices(5, 1)
+# The 15 distinct second derivatives over theta = (alpha1, beta1, alpha2,
+# beta2, rho), in the order of _log_density_score's rows: each margin's
+# (alpha, alpha), (alpha, beta), (beta, beta), (alpha, rho) and (beta, rho),
+# a pair of rows each, margin 1 first; the four across the margins; (rho, rho)
+_PAIRS = ((0, 0), (2, 2), (0, 1), (2, 3), (1, 1), (3, 3), (0, 4), (2, 4), (1, 4), (3, 4),
+         (0, 2), (0, 3), (1, 2), (1, 3), (4, 4))
 
 
 def _log_density_score(x, y, theta, c):
     """log f of the bivariate Weibull and, row by row, its gradient and
     Hessian over theta = (alpha1, beta1, alpha2, beta2, rho), built on the
-    pieces of _log_density: (n,) log f, an (n, 5) score and (n, 5, 5)
-    second derivatives.
+    pieces of _log_density: (n,) log f, the (5, n) score and the (15, n)
+    distinct second derivatives, a row per pair of _PAIRS, so that a caller
+    sums each over the rows in one product.
 
     Per margin, log f depends on alpha and beta through L and u = log E =
     alpha L, whose own second derivatives over (alpha, beta) are 0, -1/beta
@@ -186,8 +208,8 @@ def _log_density_score(x, y, theta, c):
         # k = dg/du and j = dk/du per margin, with u = log E
         k, j = _gfgm_slopes(E, c) if isinstance(c, GfgmParams) else _gaussian_slopes(E, g)
         (gA, gB), (kA, kB), other = g, k, g[::-1]
-        S = np.empty(logf.shape + (5,))
-        H = np.empty(logf.shape + (5, 5))
+        S = np.empty((5,) + logf.shape)
+        Q = np.empty((15,) + logf.shape)
         # log c's derivatives, a row per margin where they pair a margin's
         # u with itself (cu, cuu) or with rho (cur), and cAB over uA and uB
         if isinstance(c, GfgmParams):
@@ -196,8 +218,8 @@ def _log_density_score(x, y, theta, c):
             cuu = rho * j * other / den - cu * cu
             cur = k * other / den**2
             cAB = rho * kA * kB / den**2
-            S[:, 4] = gA * gB / den
-            H[:, 4, 4] = -S[:, 4] ** 2
+            S[4] = gA * gB / den
+            Q[14] = -S[4] ** 2
         else:
             D = (1 - rho) * (1 + rho)
             lu = rho * (other - rho * g) / D
@@ -207,31 +229,28 @@ def _log_density_score(x, y, theta, c):
             cur = ((1 + rho * rho) * (other - g) + (1 - rho) ** 2 * g) / D**2 * k
             cAB = rho / D * kA * kB
             N = (1 - rho) ** 2 * gA * gB - rho * (gA - gB) ** 2
-            S[:, 4] = rho / D + N / D**2
-            H[:, 4, 4] = ((1 + rho * rho - (gA - gB) ** 2 - 2 * (1 - rho) * gA * gB) / D**2
-                          + 4 * rho * N / D**3)
-        # the shapes' columns 0 and 2 and the scales' 1 and 3; dE/dalpha = E
-        # log(t/beta) and dE/dbeta = -(alpha/beta) E
-        S[:, 0:4:2] = (1 / alpha + L * (1 - E) + cu * L).T
-        S[:, 1:4:2] = (alpha / beta * (E - 1 - cu)).T
-        # with the first two u-derivatives of log c - E, each margin's entries
-        # over its (alpha, beta) and rho, a row per margin
-        p1, p2 = cu - E, cuu - E
-        entries = (((0, 0), p2 * L * L - 1 / alpha**2),
-                   ((0, 1), -(1 + p1 + alpha * L * p2) / beta),
-                   ((1, 1), alpha / beta**2 * (1 + p1 + alpha * p2)),
-                   ((0, 2), cur * L),
-                   ((1, 2), -alpha / beta * cur))
-        for margin, index in enumerate(((0, 1, 4), (2, 3, 4))):
-            for (i, j), entry in entries:
-                H[:, index[i], index[j]] = entry[margin]
+            S[4] = rho / D + N / D**2
+            Q[14] = ((1 + rho * rho - (gA - gB) ** 2 - 2 * (1 - rho) * gA * gB) / D**2
+                     + 4 * rho * N / D**3)
+        # with the first two u-derivatives of log c - E, per margin P = 1 +
+        # cu - E and cuu - E, the shapes' rows 0 and 2 and the scales' 1 and
+        # 3; dE/dalpha = E log(t/beta) and dE/dbeta = -(alpha/beta) E
+        P, p2 = 1 + (cu - E), cuu - E
+        Lp2, slope = L * p2, alpha / beta
+        S[0:4:2] = 1 / alpha + L * P
+        S[1:4:2] = -slope * P
+        # each margin's pairs over its (alpha, beta) and rho, a row per margin
+        Q[0:2] = L * Lp2 - 1 / alpha**2
+        Q[2:4] = -(P + alpha * Lp2) / beta
+        Q[4:6] = slope / beta * (P + alpha * p2)
+        Q[6:8] = cur * L
+        Q[8:10] = -slope * cur
         # across the margins, through log c alone
-        H[:, 0, 2] = cAB * L[0] * L[1]
-        H[:, 0, 3] = -a2 / b2 * cAB * L[0]
-        H[:, 1, 2] = -a1 / b1 * cAB * L[1]
-        H[:, 1, 3] = a1 / b1 * a2 / b2 * cAB
-        H[:, _UPPER[1], _UPPER[0]] = H[:, _UPPER[0], _UPPER[1]]
-    return logf, S, H
+        Q[10] = cAB * L[0] * L[1]
+        Q[11] = -a2 / b2 * cAB * L[0]
+        Q[12] = -a1 / b1 * cAB * L[1]
+        Q[13] = a1 / b1 * a2 / b2 * cAB
+    return logf, S, Q
 
 
 def bvw_pdf(x, y, m: BivariateWeibull):

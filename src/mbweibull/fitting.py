@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import chdtrc, expit, logit, ndtr
 
-from .bivariate import _log_density_score, bvw_pdf
+from .bivariate import _PAIRS, _log_density_score, bvw_pdf
 from .clustering import DbscanParams, dbscan, origin_cluster_mask, select_eps
 from .copulas import GfgmParams
 from .errors import (
@@ -144,18 +144,28 @@ def aic(loglik: float, k: int) -> float:
 
 
 def _ranks(a) -> np.ndarray:
-    """Ranks of ``a`` from 1, ties given the average of their ranks."""
-    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    """Ranks of ``a`` from 1, ties given the average of their ranks: a run
+    of equal values at sorted positions i to j - 1 takes (i + 1 + j) / 2."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    # each run's first sorted position, then the end of the last run
+    bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    first, end = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((first + 1 + end) / 2, end - first)
+    return ranks
 
 
 def _spearman(x, y) -> float:
-    rx = _ranks(x)
-    ry = _ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
+    """Spearman's rank correlation: the Pearson correlation of the ranks,
+    whose mean is (n + 1)/2, so that the centred ranks are half-integers
+    and their products sum exactly; 0 where a margin is constant."""
+    centre = (len(x) + 1) / 2
+    rx, ry = _ranks(x) - centre, _ranks(y) - centre
+    sxx, syy = rx @ rx, ry @ ry
+    if sxx == 0 or syy == 0:
         return 0.0
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.clip(rx @ ry / np.sqrt(sxx * syy), -1.0, 1.0))
 
 
 # Stage 2's parameter vector theta is PARAM_NAMES without d: the kernel's
@@ -214,6 +224,11 @@ def _whole(free, values, held=_HELD) -> np.ndarray:
 
 _HELD_Z = _z(_HELD)
 
+# each entry of the 5 x 5 bulk Hessian, in both triangles, as its row of the
+# kernel's second derivatives
+_SYMMETRIC = np.array([[_PAIRS.index((min(i, j), max(i, j))) for j in range(5)]
+                       for i in range(5)])
+
 
 def _objective(model, data, d=None, family=None, a=None, b=None):
     """Stage 2's evaluator for member ``model`` on ``data``; M3 also takes
@@ -227,10 +242,16 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
 
     Every member runs M3's mixture sum at its whole theta: each row's bulk
     derivatives weighted by the row's bulk share w, plus w (1 - w) s s^T in
-    the Hessian, and logit p's derivatives in their own coordinate. M2 has
-    no square, so every row counts and lies past it, and at p = 0 the sum
-    is M2's likelihood; the derivatives at its held positions, which may
-    not be finite on a row with a zero, are dropped."""
+    the Hessian, and logit p's derivatives in their own coordinate. Each sum
+    over the rows is one product of the kernel's rows: the (5, n) score S
+    and the (15, n) second derivatives Q times w, whose 15 sums fill both
+    triangles of the bulk Hessian through _SYMMETRIC, and (S v) S^T with v
+    = w (1 - w). Where no kept row lies on the plateau every w is 1 and v
+    is 0, and those terms are not formed. M2 has no square, so every row
+    counts and lies past it, and at p = 0 the sum is M2's likelihood; the
+    derivatives at its held positions, which may not be finite on a row
+    with a zero, are dropped. M3 frees every position and keeps g and H
+    whole."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
         c = GfgmParams(0.0)
@@ -245,31 +266,45 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
         raise DomainError(f"unknown model {model!r}")
     free = _MEMBERS[model][0]
     m, block, log_scale = len(free), np.ix_(free, free), _LOG[free]
+    whole, on_plateau, n = m == len(_NAMES), not past.all(), len(x)
+    ones = np.ones(n)
 
     def objective(z):
-        theta = _theta(_whole(free, z, _HELD_Z))
+        theta = _theta(z if whole else _whole(free, z, _HELD_Z))
         with np.errstate(all="ignore"):
-            logf, S, Hr = _log_density_score(x, y, theta[:_P], c)
+            logf, S, Q = _log_density_score(x, y, theta[:_P], c)
             p = theta[_P]
-            # the logs of the plateau's density p/d^2 and of the bulk's q f
-            plateau, bulk = np.log(p) - log_area, np.log1p(-p) + logf
-            ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
-            # a row on the plateau weighs its bulk derivatives by its bulk
-            # share q f / (p/d^2 + q f); a row past the square has share 1
-            w = np.where(past, 1.0, expit(bulk - plateau))
-            # a row whose share underflowed has no bulk density left to
-            # differentiate, and its derivatives may be NaN
-            gone = w == 0
-            if gone.any():
-                S[gone], Hr[gone] = 0.0, 0.0
-            v = w * (1 - w)
-            vS = v @ S
-            g, H = np.empty(6), np.empty((6, 6))
-            g[:5], g[5] = w @ S, len(w) * (1 - p) - w.sum()
-            H[:5, :5] = (w @ Hr.reshape(len(w), 25)).reshape(5, 5) + (S.T * v) @ S
-            H[5, :5] = H[:5, 5] = -vS
-            H[5, 5] = v.sum() - len(w) * p * (1 - p)
-            g, H, t = g[free], H[block], theta[free]
+            # the log of the bulk's density q f
+            bulk = np.log1p(-p) + logf
+            H = np.empty((6, 6))
+            if on_plateau:
+                # the log of the plateau's density p/d^2
+                plateau = np.log(p) - log_area
+                ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
+                # a row on the plateau weighs its bulk derivatives by its
+                # bulk share q f / (p/d^2 + q f); a row past the square has
+                # share 1
+                w = np.where(past, 1.0, expit(bulk - plateau))
+                # a row whose share underflowed has no bulk density left to
+                # differentiate, and its derivatives may be NaN
+                gone = w == 0
+                if gone.any():
+                    S[:, gone], Q[:, gone] = 0.0, 0.0
+                v = w * (1 - w)
+                H[:5, :5] = (Q @ w)[_SYMMETRIC] + (S * v) @ S.T
+                H[5, :5] = H[:5, 5] = -(S @ v)
+                H[5, 5] = v.sum() - n * p * (1 - p)
+            else:
+                # every row has share 1, and v = w (1 - w) = 0
+                ll, w = bulk.sum(), ones
+                H[:5, :5] = (Q @ w)[_SYMMETRIC]
+                H[5, :5] = H[:5, 5] = 0.0
+                H[5, 5] = -n * p * (1 - p)
+            g = np.empty(6)
+            g[:5], g[5] = S @ w, n * (1 - p) - w.sum()
+            t = theta
+            if not whole:
+                g, H, t = g[free], H[block], theta[free]
             # the chain rule to z: H gains g times d2theta/dz2
             slope = np.where(log_scale, t, 1.0)
             H = H * np.outer(slope, slope) + np.diag(np.where(log_scale, g * t, 0.0))
@@ -344,14 +379,16 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
 def _damped_step(A, g) -> tuple:
     """The Levenberg-Marquardt step for the finite matrix A: the least lam of
     0, 1e-8 s, 1e-7 s, ..., with s the largest |A_ii| or 1, for which A +
-    lam I has a Cholesky factor, and the solution of (A + lam I) step = g."""
-    lam, s = 0.0, max(np.abs(np.diag(A)).max(initial=0.0), 1.0)
+    lam I has a Cholesky factor, and the solution of (A + lam I) step = g;
+    at lam = 0, A itself is factored and solved."""
+    lam, damped = 0.0, A
     while True:
         try:
-            np.linalg.cholesky(A + lam * np.eye(len(g)))
-            return lam, np.linalg.solve(A + lam * np.eye(len(g)), g)
+            np.linalg.cholesky(damped)
+            return lam, np.linalg.solve(damped, g)
         except np.linalg.LinAlgError:
-            lam = max(10 * lam, 1e-8 * s)
+            lam = max(10 * lam, 1e-8 * max(np.abs(np.diag(A)).max(initial=0.0), 1.0))
+            damped = A + lam * np.eye(len(g))
 
 
 def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
@@ -360,10 +397,10 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     coordinates of its free positions, within the search box of ``_REACH``
     and ``_RHO_BOX``. ``n_evals`` counts the calls of the ``_objective`` built here. An
     iteration holds each coordinate on a bound of the box whose gradient
-    points out, takes the others' block of the last Hessian, steps by
-    ``_damped_step``, and halves the step, projected onto the box, until an
-    evaluation shows its gain. It stops once the Newton decrement is below
-    ``_DECREMENT``, before that step's evaluation (Boyd & Vandenberghe 2004,
+    points out, takes the others' block of the last Hessian (the whole g
+    and H when it holds none), steps by ``_damped_step``, and halves the
+    step, projected onto the box, until an evaluation shows its gain. It
+    stops once the Newton decrement is below ``_DECREMENT``, before that step's evaluation (Boyd & Vandenberghe 2004,
     Alg. 9.5), and ``compute_se`` takes the Hessian of the last one. The fit
     has converged when it stopped so with an undamped Hessian, so negative
     definite over the moving coordinates (Nocedal & Wright 2006, Thm. 2.4),
@@ -390,15 +427,21 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     nit, at_maximum = 0, False
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
-        moving = np.flatnonzero(~(((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))))
-        lam, step = _damped_step(-H[np.ix_(moving, moving)], g[moving])
+        held = ((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))
+        if held.any():
+            moving = ~held
+            lam, step = _damped_step(-H[moving][:, moving], g[moving])
+            decrement = g[moving] @ step
+            direction = np.zeros(len(z))
+            direction[moving] = step
+        else:
+            lam, direction = _damped_step(-H, g)
+            decrement = g @ direction
         # once the decrement is small the quadratic model holds and its step
         # would gain almost nothing: the fit ends here without evaluating it
-        if g[moving] @ step <= _DECREMENT * (1.0 + abs(ll)):
+        if decrement <= _DECREMENT * (1.0 + abs(ll)):
             at_maximum = lam == 0
             break
-        direction = np.zeros(len(z))
-        direction[moving] = step
         for t in 0.5 ** np.arange(_HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
             ll_trial, g_trial, H_trial = ascent(trial)

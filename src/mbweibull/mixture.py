@@ -133,6 +133,10 @@ def mixture_weight(x, y, m: MbwParams):
     return _over_survival(m.p * rect_survival(x, y, m.rect), mbw_survival(x, y, m))
 
 
+# the most float64 values one array can hold: numpy indexes its bytes by intp
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
 def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
     """Evaluate (x, y, f, R, h) on a row-major rectangular grid.
 
@@ -141,6 +145,13 @@ def hazard_grid(m: MbwParams, x_start, x_stop, y_start, y_stop, step):
     finite = np.isfinite([x_start, x_stop, y_start, y_stop, step]).all()
     if not (finite and step > 0 and x_start <= x_stop and y_start <= y_stop):
         raise DomainError("invalid grid specification")
+    # each axis's node count, as np.arange takes it, checked before it runs:
+    # the table holds five float64 values a node, and numpy indexes at most
+    # _MAX_VALUES of them
+    nx, ny = (np.ceil((stop + 0.5 * step - start) / step)
+              for start, stop in ((x_start, x_stop), (y_start, y_stop)))
+    if not nx * ny * 5 <= _MAX_VALUES:
+        raise DomainError(f"a grid of {nx:g} x {ny:g} nodes has more values than numpy can index")
     xs = np.arange(x_start, x_stop + 0.5 * step, step)
     ys = np.arange(y_start, y_stop + 0.5 * step, step)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

@@ -21,6 +21,7 @@ from mbweibull import (
     weibull_pdf,
 )
 from mbweibull.bivariate import (
+    _PAIRS,
     _composed_pdf,
     _composed_survival,
     _gaussian_slopes,
@@ -55,6 +56,14 @@ _RATIOS = {
     "mbw_hazard": mbw_hazard,
     "mixture_weight": mixture_weight,
 }
+
+
+def _unpack(Q):
+    """The kernel's (15, n) second derivatives as (n, 5, 5) row Hessians."""
+    H = np.empty(Q.shape[1:] + (5, 5))
+    for row, (i, j) in zip(Q, _PAIRS):
+        H[:, i, j] = H[:, j, i] = row
+    return H
 
 
 def _model(a1=1.0, b1=1.0, a2=1.0, b2=1.0, copula=None):
@@ -210,6 +219,12 @@ GAUSSIAN_TAIL_SURVIVAL = {
 # score z = sqrt(2) erfinv(1 - 2 e^-A)
 GAUSSIAN_DEEP_TAIL = {746.0: -1146.986099025472, 800.0: -1230.8708301884078}
 
+# A dk/dA = k (1 + z k - A) of a margin's normal score z with Phibar(z) =
+# e^-A and k = A dz/dA, where its terms z k and A cancel: computed with
+# mpmath at 200 digits by docs/gaussian_tail.py
+GAUSSIAN_TAIL_SLOPE = {1e4: 35.34848925159782, 1e8: 3535.533756099387,
+                       2.9e14: 6020797.289395982}
+
 # coordinates from the origin to infinity, zero and subnormal-range
 # exponents included
 _COORDS = np.array([0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, 3.0, 10.0, 1e3, 1e100, np.inf])
@@ -225,10 +240,10 @@ class TestLogSpaceDensity:
     @pytest.mark.parametrize("A", list(GAUSSIAN_DEEP_TAIL))
     def test_gaussian_log_density_where_the_margin_survival_underflows(self, A):
         # e^-A is no normal float here; the normal score comes from -A
-        logf, S, H = _log_density_score(
+        logf, S, Q = _log_density_score(
             np.sqrt([A]), np.ones(1), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
         assert logf[0] == pytest.approx(GAUSSIAN_DEEP_TAIL[A], rel=1e-13, abs=0)
-        assert np.isfinite(S).all() and np.isfinite(H).all()
+        assert np.isfinite(S).all() and np.isfinite(Q).all()
 
     # a fixed example sequence and no example database keep the suite
     # deterministic
@@ -414,8 +429,8 @@ class TestLogDensityScore:
             fd = (_log_density_score(x, y, theta + step, model(theta + step).copula)[0]
                   - _log_density_score(x, y, theta - step, model(theta - step).copula)[0]
                   ) / (2 * step[i])
-            tol = 1e-6 * max(np.abs(S[:, i]).max(), 1.0)
-            np.testing.assert_allclose(S[:, i], fd, rtol=0, atol=tol)
+            tol = 1e-6 * max(np.abs(S[i]).max(), 1.0)
+            np.testing.assert_allclose(S[i], fd, rtol=0, atol=tol)
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -434,14 +449,13 @@ class TestLogDensityScore:
         q = np.array(levels)
         x = b1 * (-np.log1p(-q)) ** (1 / a1)
         y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
-        _, _, H = _log_density_score(x, y, theta, copula(rho))
-        np.testing.assert_array_equal(H, H.transpose(0, 2, 1))
+        H = _unpack(_log_density_score(x, y, theta, copula(rho))[2])
         for i in range(5):
             step = np.zeros(5)
             step[i] = 1e-6 * max(abs(theta[i]), 1.0)
             up, down = theta + step, theta - step
             fd = (_log_density_score(x, y, up, copula(up[4]))[1]
-                  - _log_density_score(x, y, down, copula(down[4]))[1]) / (2 * step[i])
+                  - _log_density_score(x, y, down, copula(down[4]))[1]).T / (2 * step[i])
             tol = 1e-6 * max(np.abs(H[:, i]).max(), 1.0)
             np.testing.assert_allclose(H[:, i], fd, rtol=0, atol=tol)
 
@@ -453,14 +467,15 @@ class TestLogDensityScore:
         # float, as which the Gaussian margin takes E = 0
         x, y = np.array([0.0, 0.5]), np.array([0.5, 0.0])
         theta = (1.0, 2.0, 1.0, 3.0, 0.5)
-        logf, S, H = _log_density_score(x, y, theta, copula)
+        logf, S, Q = _log_density_score(x, y, theta, copula)
         tiny = np.finfo(float).tiny
         near, _, _ = _log_density_score(np.where(x == 0, 2.0 * tiny, x),
                                         np.where(y == 0, 3.0 * tiny, y), theta, copula)
         np.testing.assert_allclose(logf, near, rtol=1e-14)
         # the scales' and rho's derivatives, which M2 takes at alpha = 1
         block = [1, 3, 4]
-        assert np.isfinite(S[:, block]).all() and np.isfinite(H[:, block][:, :, block]).all()
+        assert np.isfinite(S[block]).all()
+        assert np.isfinite(_unpack(Q)[:, block][:, :, block]).all()
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 2.5])
     def test_gfgm_slopes_hold_at_small_exponents(self, b):
@@ -484,7 +499,7 @@ class TestLogDensityScore:
         rho = 1 - 1e-6
         A = np.array([-np.log1p(-ndtr(z)) if z < 0 else -np.log(ndtr(-z)) for z in (z1, z2)])
         z = _gaussian_z(A)
-        _, S, H = _log_density_score(A[:1], A[1:], (1.0, 1.0, 1.0, 1.0, rho),
+        _, S, Q = _log_density_score(A[:1], A[1:], (1.0, 1.0, 1.0, 1.0, rho),
                                      GaussianCopulaParams(rho))
         with mpmath.workdps(50):
             r, a, b = mpmath.mpf(rho), mpmath.mpf(z[0]), mpmath.mpf(z[1])
@@ -494,8 +509,8 @@ class TestLogDensityScore:
             dlog_c = r / D + N / D**2
             d2log_c = (1 + r * r + 2 * r * a * b - (a * a + b * b)) / D**2 + 4 * r * N / D**3
         assert _gaussian_log_c(z[0], z[1], rho) == pytest.approx(float(log_c), rel=1e-14, abs=0)
-        assert S[0, 4] == pytest.approx(float(dlog_c), rel=1e-14, abs=0)
-        assert H[0, 4, 4] == pytest.approx(float(d2log_c), rel=1e-14, abs=0)
+        assert S[4, 0] == pytest.approx(float(dlog_c), rel=1e-14, abs=0)
+        assert _unpack(Q)[0, 4, 4] == pytest.approx(float(d2log_c), rel=1e-14, abs=0)
 
     def test_gaussian_z_takes_one_ndtri_per_row(self):
         # bit for bit the two-branch form, which took ndtri of both tails,
@@ -526,6 +541,14 @@ class TestLogDensityScore:
             z = _gaussian_z(A)
             k, j = _gaussian_slopes(A, z)
         assert np.array_equal(z, -ndtri_exp(-A)) and np.isfinite(k).all() and np.isfinite(j).all()
+
+    @pytest.mark.parametrize("A", list(GAUSSIAN_TAIL_SLOPE))
+    def test_gaussian_tail_second_slope_has_no_cancellation(self, A):
+        # as k(1 + z k - A) it was off by 1.1e-12 at A = 1e4, 8.9e-8 at 1e8
+        # and 12.5% at 2.9e14
+        with np.errstate(all="ignore"):
+            _, j = _gaussian_slopes(np.array([A]), _gaussian_z(np.array([A])))
+        assert j[0] == pytest.approx(GAUSSIAN_TAIL_SLOPE[A], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("A", [2.9e14, 1e200])
     def test_gaussian_tail_slope_has_no_cancellation(self, A):

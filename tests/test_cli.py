@@ -457,6 +457,19 @@ class TestHazardGrid:
             ["hazard-grid", "--x-min", "1.0", "--x-max", "0.0", "--out", str(out)]
         ) == EXIT_INVALID
 
+    def test_grid_too_large_to_index(self, tmp_path, capsys, monkeypatch):
+        # 1e302 x 200 nodes at the default step: refused from the node
+        # counts, before any grid array exists
+        def no_arange(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        out = tmp_path / "big.csv"
+        assert main(["hazard-grid", "--x-max", "1e300", "--out", str(out)]) == EXIT_INVALID
+        assert "a grid of 1e+302 x 200 nodes has more values than numpy can index" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 def _strict(path):
     # NaN, Infinity and -Infinity are not JSON; a strict parser rejects them

@@ -40,7 +40,7 @@ from mbweibull import (
 )
 from mbweibull import fitting
 from mbweibull.clustering import select_eps
-from mbweibull.bivariate import _log_density_score
+from mbweibull.bivariate import _PAIRS, _log_density_score
 from mbweibull.errors import (
     PACKAGE_ERRORS,
     ConvergenceError,
@@ -869,9 +869,14 @@ _member_strategies = dict(
 
 
 def _member_point(copula, shapes, scales, rho, p, seed):
-    # the evaluator of a member on 40 rows and a point z in its coordinates:
-    # M2 counts rows with a zero coordinate; M3 has rows on its plateau and
-    # past its square
+    # the evaluator of a member on 40 rows and a point z in its coordinates
+    model, data, settings, theta = _member_case(copula, shapes, scales, rho, p, seed)
+    return _objective(model, data, *settings), _member_z(model, theta)
+
+
+def _member_case(copula, shapes, scales, rho, p, seed):
+    # a member, 40 rows, its settings and its parameters: M2 counts rows with
+    # a zero coordinate; M3 has rows on its plateau and past its square
     rng = np.random.default_rng(seed)
     if copula is None:
         data = _quantile_rows(rng, (1.0, 1.0), scales, 40)
@@ -885,7 +890,48 @@ def _member_point(copula, shapes, scales, rho, p, seed):
         data[:8] = d * rng.uniform(0.05, 1.0, (8, 2))
         model, settings = "m3", (d, *copula)
         theta = np.array([shapes[0], scales[0], shapes[1], scales[1], rho, p])
-    return _objective(model, data, *settings), _member_z(model, theta)
+    return model, data, settings, theta
+
+
+def _row_by_row(model, data, settings, z):
+    # the member's log-likelihood, gradient and Hessian at z with each row's
+    # terms formed from the kernel's rows unpacked to 5 x 5 and added one
+    # row at a time, and the rows' bulk shares w
+    free = fitting._MEMBERS[model][0]
+    theta = fitting._theta(fitting._whole(free, z, fitting._HELD_Z))
+    x, y = data[:, 0], data[:, 1]
+    if model == "m2":
+        c, past, log_area = GfgmParams(0.0), np.ones(len(x), dtype=bool), 0.0
+    else:
+        d, family, a, b = settings
+        c = GaussianCopulaParams(0.0) if family == "gaussian" else GfgmParams(0.0, a, b)
+        past = (x > d) | (y > d)
+        keep = past | ((x > 0) & (y > 0))
+        x, y, past, log_area = x[keep], y[keep], past[keep], 2 * np.log(d)
+    p, n = theta[5], len(x)
+    with np.errstate(all="ignore"):
+        logf, S, Q = _log_density_score(x, y, theta[:5], c)
+        Hr = np.empty((n, 5, 5))
+        for row, (i, j) in zip(Q, _PAIRS):
+            Hr[:, i, j] = Hr[:, j, i] = row
+        # log(q f) and log(p/d^2), and each row's term of the sum
+        bulk, plateau = np.log1p(-p) + logf, np.log(p) - log_area
+        ll = np.where(past, bulk, np.logaddexp(plateau, bulk)).sum()
+        w = np.where(past, 1.0, 1 / (1 + np.exp(plateau - bulk)))
+        g, H = np.zeros(6), np.zeros((6, 6))
+        for r in np.flatnonzero(w > 0):
+            s, v = S[:, r], w[r] * (1 - w[r])
+            g[:5] += w[r] * s
+            H[:5, :5] += w[r] * Hr[r] + v * np.outer(s, s)
+            H[5, :5] -= v * s
+            H[:5, 5] -= v * s
+            H[5, 5] += v
+        g[5] = n * (1 - p) - w.sum()
+        H[5, 5] -= n * p * (1 - p)
+        g, H, t = g[free], H[np.ix_(free, free)], theta[free]
+        slope = np.where(free < 4, t, 1.0)
+        H = H * np.outer(slope, slope) + np.diag(np.where(free < 4, g * t, 0.0))
+    return ll, g * slope, H, w
 
 
 class TestScore:
@@ -915,13 +961,35 @@ class TestScore:
             fd[i] = (objective(z + step)[1] - objective(z - step)[1]) / (2 * step[i])
         np.testing.assert_allclose(H, fd, rtol=0, atol=1e-5 * max(np.abs(H).max(), 1.0))
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(**_member_strategies, underflow=st.booleans())
+    def test_contraction_is_the_row_by_row_sum(self, copula, shapes, scales, rho, p, seed,
+                                               underflow):
+        # the evaluator's log-likelihood is the log-space sum bit for bit,
+        # and its gradient and Hessian, each summed in one product, are the
+        # sums of the rows' terms; with ``underflow`` an M3 plateau row at x
+        # = 1e-300 and alpha1 = 3 has log f about -1381 and bulk share 0
+        if underflow:
+            shapes = (3.0, shapes[1])
+        model, data, settings, theta = _member_case(copula, shapes, scales, rho, p, seed)
+        if underflow and model == "m3":
+            data[0] = (1e-300, 0.5 * settings[0])
+        z = _member_z(model, theta)
+        ll, g, H = _objective(model, data, *settings)(z)
+        ll_rows, g_rows, H_rows, w = _row_by_row(model, data, settings, z)
+        assert (w == 0).any() == (underflow and model == "m3")
+        assert ll == ll_rows
+        for value, oracle in ((g, g_rows), (H, H_rows)):
+            np.testing.assert_allclose(value, oracle, rtol=1e-13,
+                                       atol=1e-13 * np.abs(oracle).max())
+
     def test_gaussian_score_in_both_tails(self):
         # where 1 - e^-A rounds to 0 (A < 1e-12) or to 1 (A > 40), the
         # normal score comes from the tail A lies in
         A = np.array([1e-300, 1e-13, 0.5, 45.0, 200.0, 700.0])
-        logf, S, H = _log_density_score(
+        logf, S, Q = _log_density_score(
             np.sqrt(A), np.sqrt(A[::-1]), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
-        assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S)) and np.all(np.isfinite(H))
+        assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S)) and np.all(np.isfinite(Q))
         # the same rows in an M3 fit: a plateau row with A = 1e-13 and a row
         # past the square with A = 45
         rng = np.random.default_rng(2)
@@ -1481,6 +1549,19 @@ class TestIntervalsAndComparison:
         data = vannman_data()
         for a in (data[:, 0], data[:, 1], np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])):
             np.testing.assert_array_equal(_ranks(a), stats.rankdata(a))
+
+    def test_ranks_and_spearman_on_tied_resamples(self):
+        # the Vannman data, 17 of whose 36 rows lie on an axis, and 20 of its
+        # resamples, which repeat rows: ranks bit for bit, and the rank
+        # correlation to rounding
+        data = vannman_data()
+        rng = np.random.default_rng(3)
+        for sample in [data] + [data[rng.integers(0, len(data), len(data))] for _ in range(20)]:
+            x, y = sample[:, 0], sample[:, 1]
+            for a in (x, y):
+                np.testing.assert_array_equal(_ranks(a), stats.rankdata(a, method="average"))
+            assert _spearman(x, y) == pytest.approx(
+                stats.spearmanr(x, y).statistic, rel=1e-14, abs=1e-15)
 
     def test_fit_and_deviance_test_leave_scipy_stats_unloaded(self):
         code = (
