@@ -99,16 +99,18 @@ def _read_xy_csv(path) -> np.ndarray:
         raise DomainError(f"{path} needs a header line naming its columns, such as x,y")
     try:
         with warnings.catch_warnings():
-            # an empty file warns here and fails the size check below
+            # a file without data rows warns here and fails the size check below
             warnings.simplefilter("ignore")
-            data = np.genfromtxt(path, delimiter=",", names=True)
-    except (ValueError, IndexError) as e:
-        raise DomainError(f"could not parse {path}: {e}") from e
-    if data.size == 0 or data.dtype.names is None or len(data.dtype.names) < 2:
+            out = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+    except ValueError as e:
+        # numpy's C reader names a cell that is not a number "could not
+        # convert"; its other errors are rows with fewer than two cells
+        if "could not convert" in str(e):
+            raise DomainError(f"non-numeric values in {path}: {e}") from e
+        raise DomainError(f"could not parse x,y columns from {path}: {e}") from e
+    if out.size == 0:
         raise DomainError(f"could not parse x,y columns from {path}")
-    cols = data.dtype.names
-    out = np.column_stack([data[cols[0]], data[cols[1]]]).astype(float)
-    if out.ndim != 2 or not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise DomainError(f"non-numeric values in {path}")
     return out
 

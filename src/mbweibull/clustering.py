@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, DomainError, NoClusterError
@@ -29,6 +30,16 @@ class DbscanParams:
             raise DomainError("eps must be positive")
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array, checked to be finite and (n, 2)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DomainError("points must be an (n, 2) array")
+    if not np.all(np.isfinite(points)):
+        raise DomainError("points must be finite")
+    return points
+
+
 def dbscan(points, p: DbscanParams) -> np.ndarray:
     """Classic DBSCAN over 2-d points with Euclidean distance. Returns the
     per-point labels: a cluster id >= 0, or -1 for noise.
@@ -40,11 +51,7 @@ def dbscan(points, p: DbscanParams) -> np.ndarray:
     the lowest-numbered cluster among its core neighbors; everything else
     is noise.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise DomainError("points must be an (n, 2) array")
-    if not np.all(np.isfinite(points)):
-        raise DomainError("points must be finite")
+    points = _as_points(points)
     # Equal to the classic scan, which expands one whole cluster from each
     # unlabelled core point in index order (Schubert et al. 2017, ACM TODS
     # 42:19): connected_components numbers the components by their first
@@ -70,18 +77,26 @@ def dbscan(points, p: DbscanParams) -> np.ndarray:
     return labels
 
 
+def _k_distances(points, min_pts: int) -> np.ndarray:
+    """Each point's distance to its ``min_pts``-th nearest point (itself the
+    first), in ascending order. One k-nearest-neighbor query of a k-d tree
+    (Friedman, Bentley & Finkel 1977, ACM TOMS 3:209) gives each the same
+    float as the ``min_pts``-th entry of its sorted row of the distance
+    table, without forming the table."""
+    return np.sort(cKDTree(points).query(points, k=[min_pts])[0][:, 0])
+
+
 def select_eps(points, min_pts: int) -> float:
     """Knee of the sorted k-nearest-neighbor distance curve (k = min_pts,
-    self-counting), located by maximum perpendicular distance to the chord
-    between the curve endpoints."""
+    self-counting, ``_k_distances``), located by maximum perpendicular
+    distance to the chord between the curve endpoints."""
     if min_pts < 1:
         raise DomainError("min_pts must be >= 1")
-    points = np.asarray(points, dtype=float)
+    points = _as_points(points)
     n = len(points)
     if n < min_pts:
         raise DomainError("need at least min_pts points")
-    d2 = cdist(points, points, "sqeuclidean")
-    kdist = np.sort(np.sqrt(np.sort(d2, axis=1)[:, min_pts - 1]))
+    kdist = _k_distances(points, min_pts)
     if kdist[-1] == kdist[0]:
         raise DegenerateDataError("all k-distances are identical")
     idx = np.arange(n, dtype=float)

@@ -366,7 +366,7 @@ def _start(data, model, p=None, d=None, family="gfgm", a=1.0, b=1.0) -> np.ndarr
         past = (x > d) | (y > d)
         xp, yp = x[past], y[past]
         margins = [t[t > 0] for t in (xp, yp)]
-        if all(len(np.unique(t)) >= 2 for t in margins):
+        if all(len(t) > 1 and t.min() < t.max() for t in margins):
             (a1, b1), (a2, b2) = map(_weibull_plot, margins)
             rho = _rho_from_spearman(_spearman(xp, yp), family, a, b)
             return np.array([a1, b1, a2, b2, rho, p])

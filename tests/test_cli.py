@@ -135,7 +135,12 @@ class TestFit:
     @pytest.mark.parametrize("text, message", [
         ("x\n1.5\n2.5\n", "could not parse x,y columns"),
         ("x,y\n1.5,2.5\n0.5,abc\n", "non-numeric values"),
-    ], ids=["one-column", "non-numeric"])
+        ("x,y\n", "could not parse x,y columns"),
+        ("x,y\n1.5,2.5\n0.5,\n", "non-numeric values"),
+        ("x,y\n1.5,2.5\n0.5\n2.5,1.5\n", "could not parse x,y columns"),
+        ("x,y\n1.5,nan\n", "non-numeric values"),
+        ("x,y\n1.5,-inf\n", "non-numeric values"),
+    ], ids=["one-column", "non-numeric", "header-only", "empty-cell", "ragged-row", "nan", "inf"])
     def test_malformed_csv_rejected(self, tmp_path, capsys, text, message):
         csv = tmp_path / "pts.csv"
         csv.write_text(text)
@@ -212,6 +217,43 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert calls == []
+
+
+def _genfromtxt_xy(path):
+    """The first two columns as Python's float() reads them, through
+    np.genfromtxt with the header line as column names: the oracle for the
+    C reader."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    cols = data.dtype.names
+    return np.column_stack([data[cols[0]], data[cols[1]]]).astype(float)
+
+
+class TestReadCsv:
+    @staticmethod
+    def _write_17g(path, pts, newline="\n", extra=False):
+        header = "x,y,z" if extra else "x,y"
+        rows = [f"{a:.17g},{b:.17g}" + (f",{a + b:.17g}" if extra else "") for a, b in pts]
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join([header, *rows]) + newline)
+
+    def test_simulate_output_reads_as_genfromtxt(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n", "300", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        got = cli._read_xy_csv(out)
+        assert got.shape == (300, 2) and got.dtype == np.float64
+        assert got.tobytes() == _genfromtxt_xy(out).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("extra", [False, True], ids=["two-columns", "extra-column"])
+    def test_17g_files_read_as_genfromtxt(self, tmp_path, newline, extra):
+        # files like those the cli benchmark fits: n = 300 samples written
+        # at %.17g, whose rows on the square's anchor edges hold exact zeros
+        csv = tmp_path / "pts.csv"
+        for k in range(4):
+            pts = sample_mbw(300, mbw_params(**DEFAULT_PARAMS), SeededStream(1, k))
+            self._write_17g(csv, pts, newline, extra)
+            got = cli._read_xy_csv(csv)
+            assert got.tobytes() == pts.tobytes() == _genfromtxt_xy(csv).tobytes()
 
 
 class TestStudy:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mbweibull import (
     DbscanParams,
@@ -8,6 +11,7 @@ from mbweibull import (
     select_eps,
     vannman_data,
 )
+from mbweibull.clustering import _k_distances
 from mbweibull.errors import (
     DegenerateDataError,
     DomainError,
@@ -231,6 +235,93 @@ class TestSelectEps:
         pts = np.random.default_rng(5).uniform(0, 1, (20, 2))
         with pytest.raises(DomainError, match="min_pts"):
             select_eps(pts, min_pts)
+
+
+def _oracle_k_distances(points, min_pts):
+    """The k-distance curve from the whole distance table: each row sorted,
+    its min_pts-th entry taken, the square roots sorted."""
+    d2 = cdist(points, points, "sqeuclidean")
+    return np.sort(np.sqrt(np.sort(d2, axis=1)[:, min_pts - 1]))
+
+
+def _oracle_eps(points, min_pts):
+    """The knee of the oracle curve by the chord rule, or None where the
+    curve is flat or its knee is zero (select_eps raises there)."""
+    kdist = _oracle_k_distances(points, min_pts)
+    if kdist[-1] == kdist[0]:
+        return None
+    n = len(kdist)
+    idx = np.arange(n, dtype=float)
+    dx, dy = n - 1.0, kdist[-1] - kdist[0]
+    dist = np.abs(dy * idx - dx * (kdist - kdist[0])) / np.hypot(dx, dy)
+    eps = float(kdist[int(np.argmax(dist))])
+    return eps if eps > 0 else None
+
+
+@st.composite
+def _knee_cases(draw):
+    """Point sets for the k-distance curve: exponential samples of up to 1000
+    rows or Vannman resamples, with ties from rounding, duplicate rows,
+    zeros on either axis, and a scale from 1e-8 to 1e6."""
+    min_pts = draw(st.sampled_from(range(1, 13)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = vannman_data()
+        pts = base[rng.integers(0, len(base), len(base))]
+    else:
+        n = max(min_pts, round(10 ** rng.uniform(0.0, 3.0)))  # log-uniform up to 1000
+        pts = rng.exponential(1.0, (n, 2))
+        if draw(st.booleans()):
+            pts = np.round(pts, draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            pts = pts[rng.integers(0, n, n)]
+        for axis in (0, 1):
+            if draw(st.booleans()):
+                pts[rng.random(n) < 0.3, axis] = 0.0
+    return pts * 10.0 ** draw(st.floats(-8.0, 6.0)), min_pts
+
+
+_LARGE_TIED = (np.round(np.random.default_rng(3).exponential(1.0, (1000, 2)), 1) * 1e-8, 12)
+
+
+class TestKDistanceOracle:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=_knee_cases())
+    @example(case=_LARGE_TIED)
+    @example(case=(vannman_data(), 4))
+    def test_curve_and_eps_equal_the_distance_table(self, case):
+        # the k-d tree's k-distances are the sorted table's floats, so the
+        # knee, and every automatic-eps fit, is the table's bit for bit
+        pts, min_pts = case
+        assert np.array_equal(_k_distances(pts, min_pts), _oracle_k_distances(pts, min_pts))
+        expected = _oracle_eps(pts, min_pts)
+        if expected is None:
+            with pytest.raises(DegenerateDataError):
+                select_eps(pts, min_pts)
+        else:
+            assert select_eps(pts, min_pts) == expected
+
+
+class TestInputChecks:
+    _BAD = {
+        "nan-row": lambda pts: np.vstack([pts, [np.nan, 0.5]]),
+        "inf-row": lambda pts: np.vstack([pts, [0.5, np.inf]]),
+        "three-columns": lambda pts: np.column_stack([pts, pts[:, 0]]),
+        "one-dimensional": lambda pts: pts[:, 0],
+    }
+
+    @pytest.mark.parametrize("bad", list(_BAD), ids=list(_BAD))
+    @pytest.mark.parametrize("call", [
+        lambda pts: select_eps(pts, 4),
+        lambda pts: dbscan(pts, DbscanParams(4, 0.5)),
+    ], ids=["select_eps", "dbscan"])
+    def test_only_finite_n_by_2_arrays(self, bad, call):
+        # without the shared check, select_eps returns an eps for a NaN row,
+        # an infinite one (warning from the knee's divide) or a third column
+        pts = np.random.default_rng(5).uniform(0, 1, (20, 2))
+        call(pts)
+        with pytest.raises(DomainError, match="points must be"):
+            call(self._BAD[bad](pts))
 
 
 class TestOriginCluster:
