@@ -67,7 +67,11 @@ def dbscan(points, p: DbscanParams) -> np.ndarray:
     indptr = np.concatenate([[0], np.cumsum(block.sum(axis=1))])
     columns = np.flatnonzero(block) % len(block)
     graph = csr_array((np.ones(len(columns)), columns, indptr), shape=block.shape)
-    _, comp = connected_components(graph, directed=False)
+    # cdist gives d(i, j) and d(j, i) as one float, so the block is symmetric
+    # and its strong components are its components; the directed search
+    # skips the undirected one's sum with the transpose, and, starting from
+    # each unreached point in index order, numbers them by their lowest point
+    _, comp = connected_components(graph, directed=True, connection="strong")
     labels = np.full(n, NOISE)
     labels[core] = comp
     # a border point joins the lowest-numbered cluster among its core

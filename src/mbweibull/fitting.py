@@ -15,6 +15,7 @@ M2 (FGM-coupled exponential margins). M2 is M3 with shapes 1, a GFGM(rho,
 vector and runs M3's evaluator with every row past its absent square.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -251,7 +252,9 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
     counts and lies past it, and at p = 0 the sum is M2's likelihood; the
     derivatives at its held positions, which may not be finite on a row
     with a zero, are dropped. M3 frees every position and keeps g and H
-    whole."""
+    whole. What does not depend on z, the stacked lifetimes and the indexes
+    of the free block and of the chain rule, is built here once; an
+    evaluation takes theta as Python floats."""
     x, y = data[:, 0], data[:, 1]
     if model == "m2":
         c = GfgmParams(0.0)
@@ -265,18 +268,24 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
     else:
         raise DomainError(f"unknown model {model!r}")
     free = _MEMBERS[model][0]
-    m, block, log_scale = len(free), np.ix_(free, free), _LOG[free]
+    m, block = len(free), np.ix_(free, free)
     whole, on_plateau, n = m == len(_NAMES), not past.all(), len(x)
-    ones = np.ones(n)
+    # the lifetimes as the kernel takes them, x stacked on y
+    t, ones = np.stack([x, y]), np.ones(n)
+    # the log positions, which lead the free ones and where dtheta/dz =
+    # d2theta/dz2 = theta, and their entries of H's diagonal, a slice of H's
+    # flat view
+    n_log = int(_LOG[free].sum())
+    logs, diagonal = free[:n_log], slice(0, n_log * (m + 1), m + 1)
 
     def objective(z):
         theta = _theta(z if whole else _whole(free, z, _HELD_Z))
+        *bulk_theta, p = theta.tolist()
         with np.errstate(all="ignore"):
-            logf, S, Q = _log_density_score(x, y, theta[:_P], c)
-            p = theta[_P]
+            logf, S, Q = _log_density_score(t, bulk_theta, c)
             # the log of the bulk's density q f
             bulk = np.log1p(-p) + logf
-            H = np.empty((6, 6))
+            g, H = np.empty(6), np.empty((6, 6))
             if on_plateau:
                 # the log of the plateau's density p/d^2
                 plateau = np.log(p) - log_area
@@ -287,31 +296,37 @@ def _objective(model, data, d=None, family=None, a=None, b=None):
                 w = np.where(past, 1.0, expit(bulk - plateau))
                 # a row whose share underflowed has no bulk density left to
                 # differentiate, and its derivatives may be NaN
-                gone = w == 0
-                if gone.any():
+                if not w.all():
+                    gone = w == 0
                     S[:, gone], Q[:, gone] = 0.0, 0.0
                 v = w * (1 - w)
                 H[:5, :5] = (Q @ w)[_SYMMETRIC] + (S * v) @ S.T
                 H[5, :5] = H[:5, 5] = -(S @ v)
                 H[5, 5] = v.sum() - n * p * (1 - p)
+                g[5] = n * (1 - p) - w.sum()
             else:
-                # every row has share 1, and v = w (1 - w) = 0
+                # every row has share 1, the n shares sum to n, and v = w (1 -
+                # w) = 0
                 ll, w = bulk.sum(), ones
                 H[:5, :5] = (Q @ w)[_SYMMETRIC]
                 H[5, :5] = H[:5, 5] = 0.0
                 H[5, 5] = -n * p * (1 - p)
-            g = np.empty(6)
-            g[:5], g[5] = S @ w, n * (1 - p) - w.sum()
-            t = theta
+                g[5] = n * (1 - p) - n
+            g[:5] = S @ w
             if not whole:
-                g, H, t = g[free], H[block], theta[free]
-            # the chain rule to z: H gains g times d2theta/dz2
-            slope = np.where(log_scale, t, 1.0)
-            H = H * np.outer(slope, slope) + np.diag(np.where(log_scale, g * t, 0.0))
-            g = g * slope
+                g, H = g[free], H[block]
+            # the chain rule to z: H_ij times dtheta_i/dz_i dtheta_j/dz_j, each
+            # product of two slopes formed first, and g times d2theta/dz2 on
+            # H's diagonal
+            slope = theta[logs]
+            H[:n_log, :n_log] *= slope[:, None] * slope
+            H[:n_log, n_log:] *= slope[:, None]
+            H[n_log:, :n_log] *= slope
+            H.reshape(-1)[diagonal] += g[:n_log] * slope
+            g[:n_log] *= slope
         # the kernel still returns finite values for a GFGM rho past 1
-        if (abs(theta[_RHO]) > 1
-                or not (np.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all())):
+        if (abs(bulk_theta[_RHO]) > 1
+                or not (math.isfinite(ll) and np.isfinite(g).all() and np.isfinite(H).all())):
             return -np.inf, np.zeros(m), np.full((m, m), np.nan)
         return float(ll), g, H
 
@@ -399,7 +414,10 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     iteration holds each coordinate on a bound of the box whose gradient
     points out, takes the others' block of the last Hessian (the whole g
     and H when it holds none), steps by ``_damped_step``, and halves the
-    step, projected onto the box, until an evaluation shows its gain. It
+    step, projected onto the box, until an evaluation shows its gain; where
+    p is within ``_BOUNDARY_GAP`` of an edge of its space and the step and
+    the gradient point at that edge, p's part of the step first reaches its
+    bound of the box, which logit p would otherwise creep toward. It
     stops once the Newton decrement is below ``_DECREMENT``, before that step's evaluation (Boyd & Vandenberghe 2004,
     Alg. 9.5), and ``compute_se`` takes the Hessian of the last one. The fit
     has converged when it stopped so with an undamped Hessian, so negative
@@ -424,7 +442,7 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
     lo, hi = z - _REACH, z + _REACH
     is_rho = free == _RHO
     lo[is_rho], hi[is_rho] = _RHO_BOX[get("copula_family", "gfgm")]
-    nit, at_maximum = 0, False
+    nit, at_maximum, p_free = 0, False, free[-1] == _P
     while ll > -np.inf and n_evals < _MAX_EVALS:
         nit += 1
         held = ((z <= lo) & (g < 0)) | ((z >= hi) & (g > 0))
@@ -442,6 +460,16 @@ def _fit(data, model, theta0, compute_ses, diagnostics=None, **fixed):
         if decrement <= _DECREMENT * (1.0 + abs(ll)):
             at_maximum = lam == 0
             break
+        # logit p flattens near an edge of p's space, where Newton would walk
+        # it there about one unit a step: with p within _BOUNDARY_GAP of the
+        # edge and the step and the gradient both pointing at it, the step
+        # first tries p on its bound of the box, where the held rule keeps it
+        if p_free and direction[-1] * g[-1] > 0:
+            p = expit(z[-1])
+            if direction[-1] < 0 and p < _BOUNDARY_GAP:
+                direction[-1] = lo[-1] - z[-1]
+            elif direction[-1] > 0 and 1.0 - p < _BOUNDARY_GAP:
+                direction[-1] = hi[-1] - z[-1]
         for t in 0.5 ** np.arange(_HALVINGS):
             trial = np.clip(z + t * direction, lo, hi)
             ll_trial, g_trial, H_trial = ascent(trial)

@@ -28,6 +28,7 @@ from mbweibull.bivariate import (
     _gaussian_z,
     _gfgm_slopes,
     _log_density_score,
+    _normal_exponent,
 )
 from mbweibull.copulas import _gaussian_log_c
 from mbweibull.errors import SingularityError, SurvivalUnderflowError
@@ -56,6 +57,19 @@ _RATIOS = {
     "mbw_hazard": mbw_hazard,
     "mixture_weight": mixture_weight,
 }
+
+
+def _kernel(x, y, theta, c):
+    """The density kernel on lifetimes x and y."""
+    return _log_density_score(np.stack([x, y]), theta, c)
+
+
+def _normal_score(A):
+    """The kernel's normal scores z of the exponents A and their slopes k and
+    j, from one clamp and lower-tail mask."""
+    A, lower = _normal_exponent(A)
+    z = _gaussian_z(A, lower)
+    return (z, *_gaussian_slopes(A, z, lower))
 
 
 def _unpack(Q):
@@ -240,7 +254,7 @@ class TestLogSpaceDensity:
     @pytest.mark.parametrize("A", list(GAUSSIAN_DEEP_TAIL))
     def test_gaussian_log_density_where_the_margin_survival_underflows(self, A):
         # e^-A is no normal float here; the normal score comes from -A
-        logf, S, Q = _log_density_score(
+        logf, S, Q = _kernel(
             np.sqrt([A]), np.ones(1), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
         assert logf[0] == pytest.approx(GAUSSIAN_DEEP_TAIL[A], rel=1e-13, abs=0)
         assert np.isfinite(S).all() and np.isfinite(Q).all()
@@ -420,14 +434,14 @@ class TestLogDensityScore:
         q = np.array(levels)
         x = b1 * (-np.log1p(-q)) ** (1 / a1)
         y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
-        logf, S, _ = _log_density_score(x, y, theta, model(theta).copula)
+        logf, S, _ = _kernel(x, y, theta, model(theta).copula)
         np.testing.assert_allclose(
             logf, np.log(_composed_pdf(x, y, model(theta))), rtol=1e-9, atol=1e-9)
         for i in range(5):
             step = np.zeros(5)
             step[i] = 1e-6 * max(abs(theta[i]), 1.0)
-            fd = (_log_density_score(x, y, theta + step, model(theta + step).copula)[0]
-                  - _log_density_score(x, y, theta - step, model(theta - step).copula)[0]
+            fd = (_kernel(x, y, theta + step, model(theta + step).copula)[0]
+                  - _kernel(x, y, theta - step, model(theta - step).copula)[0]
                   ) / (2 * step[i])
             tol = 1e-6 * max(np.abs(S[i]).max(), 1.0)
             np.testing.assert_allclose(S[i], fd, rtol=0, atol=tol)
@@ -449,13 +463,13 @@ class TestLogDensityScore:
         q = np.array(levels)
         x = b1 * (-np.log1p(-q)) ** (1 / a1)
         y = b2 * (-np.log1p(-q[::-1])) ** (1 / a2)
-        H = _unpack(_log_density_score(x, y, theta, copula(rho))[2])
+        H = _unpack(_kernel(x, y, theta, copula(rho))[2])
         for i in range(5):
             step = np.zeros(5)
             step[i] = 1e-6 * max(abs(theta[i]), 1.0)
             up, down = theta + step, theta - step
-            fd = (_log_density_score(x, y, up, copula(up[4]))[1]
-                  - _log_density_score(x, y, down, copula(down[4]))[1]).T / (2 * step[i])
+            fd = (_kernel(x, y, up, copula(up[4]))[1]
+                  - _kernel(x, y, down, copula(down[4]))[1]).T / (2 * step[i])
             tol = 1e-6 * max(np.abs(H[:, i]).max(), 1.0)
             np.testing.assert_allclose(H[:, i], fd, rtol=0, atol=tol)
 
@@ -467,10 +481,10 @@ class TestLogDensityScore:
         # float, as which the Gaussian margin takes E = 0
         x, y = np.array([0.0, 0.5]), np.array([0.5, 0.0])
         theta = (1.0, 2.0, 1.0, 3.0, 0.5)
-        logf, S, Q = _log_density_score(x, y, theta, copula)
+        logf, S, Q = _kernel(x, y, theta, copula)
         tiny = np.finfo(float).tiny
-        near, _, _ = _log_density_score(np.where(x == 0, 2.0 * tiny, x),
-                                        np.where(y == 0, 3.0 * tiny, y), theta, copula)
+        near, _, _ = _kernel(np.where(x == 0, 2.0 * tiny, x),
+                             np.where(y == 0, 3.0 * tiny, y), theta, copula)
         np.testing.assert_allclose(logf, near, rtol=1e-14)
         # the scales' and rho's derivatives, which M2 takes at alpha = 1
         block = [1, 3, 4]
@@ -484,7 +498,7 @@ class TestLogDensityScore:
         # taken as it stands they overflowed below A of about 1e-200
         A = np.array([0.0, 1e-300, 1e-250, 1e-200, 1e-12])
         with np.errstate(all="ignore"):
-            k, j = _gfgm_slopes(A, GfgmParams(0.5, 2.0, b))
+            k, j = _gfgm_slopes(A, np.exp(-A), GfgmParams(0.5, 2.0, b))
         lead = b * (b - 1) * A ** (b - 1)
         np.testing.assert_allclose(k, lead, rtol=1e-10, atol=0)
         np.testing.assert_allclose(j, lead * (b - 1), rtol=1e-10, atol=0)
@@ -498,9 +512,8 @@ class TestLogDensityScore:
         # about 11 digits
         rho = 1 - 1e-6
         A = np.array([-np.log1p(-ndtr(z)) if z < 0 else -np.log(ndtr(-z)) for z in (z1, z2)])
-        z = _gaussian_z(A)
-        _, S, Q = _log_density_score(A[:1], A[1:], (1.0, 1.0, 1.0, 1.0, rho),
-                                     GaussianCopulaParams(rho))
+        z = _normal_score(A)[0]
+        _, S, Q = _kernel(A[:1], A[1:], (1.0, 1.0, 1.0, 1.0, rho), GaussianCopulaParams(rho))
         with mpmath.workdps(50):
             r, a, b = mpmath.mpf(rho), mpmath.mpf(z[0]), mpmath.mpf(z[1])
             D = 1 - r * r
@@ -527,8 +540,7 @@ class TestLogDensityScore:
         with np.errstate(all="ignore"):
             z_two = np.where(A < log2, ndtri(-np.expm1(-A)), -ndtri(np.exp(-A)))
             k_two = np.exp(np.log(A) - A + 0.5 * z_two * z_two + 0.5 * np.log(2 * np.pi))
-            z = _gaussian_z(A)
-            k, _ = _gaussian_slopes(A, z)
+            z, k, _ = _normal_score(A)
         lower = A < log2
         assert np.array_equal(z.view(np.int64), z_two.view(np.int64))
         assert np.array_equal(k[lower].view(np.int64), k_two[lower].view(np.int64))
@@ -538,8 +550,7 @@ class TestLogDensityScore:
         # inf (A = 746), z comes from log e^-A = -A
         A = np.array([708.4, 745.0, 746.0, 800.0])
         with np.errstate(all="ignore"):
-            z = _gaussian_z(A)
-            k, j = _gaussian_slopes(A, z)
+            z, k, j = _normal_score(A)
         assert np.array_equal(z, -ndtri_exp(-A)) and np.isfinite(k).all() and np.isfinite(j).all()
 
     @pytest.mark.parametrize("A", list(GAUSSIAN_TAIL_SLOPE))
@@ -547,7 +558,7 @@ class TestLogDensityScore:
         # as k(1 + z k - A) it was off by 1.1e-12 at A = 1e4, 8.9e-8 at 1e8
         # and 12.5% at 2.9e14
         with np.errstate(all="ignore"):
-            _, j = _gaussian_slopes(np.array([A]), _gaussian_z(np.array([A])))
+            _, _, j = _normal_score(np.array([A]))
         assert j[0] == pytest.approx(GAUSSIAN_TAIL_SLOPE[A], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("A", [2.9e14, 1e200])
@@ -558,8 +569,7 @@ class TestLogDensityScore:
         # z solving log Phibar(z) = -A; at 1e200 it is the tail's A/z
         pair = np.array([A, np.nextafter(A, np.inf)])
         with np.errstate(all="ignore"):
-            z = _gaussian_z(pair)
-            k, _ = _gaussian_slopes(pair, z)
+            z, k, _ = _normal_score(pair)
         assert k[1] == pytest.approx(k[0], rel=1e-12, abs=0)
         if A < 1e100:
             with mpmath.workdps(60):

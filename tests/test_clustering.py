@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from mbweibull import (
@@ -120,6 +121,29 @@ class TestDbscanLabels:
             )
         # border points within reach of two clusters exercise the border rule
         assert contested >= 20
+
+    def test_components_are_numbered_by_their_lowest_point(self):
+        # dbscan takes the core graph's strong components, which scipy does
+        # not promise to number in any order; on the symmetric core graph
+        # they are its components, numbered by their lowest point as the
+        # undirected search numbers them
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            k = int(rng.integers(1, 12))
+            # k tight groups of 3 to 8 points, far apart, rows shuffled so
+            # that the groups' lowest rows interleave
+            pts = np.vstack([rng.normal(10.0 * g, 0.2, (rng.integers(3, 9), 2))
+                             for g in rng.permutation(k)])
+            pts = pts[rng.permutation(len(pts))]
+            p = DbscanParams(min_pts=int(rng.integers(1, 4)), eps=float(rng.uniform(0.3, 2.0)))
+            labels = dbscan(pts, p)
+            adj = cdist(pts, pts, "sqeuclidean") <= p.eps * p.eps
+            core = adj.sum(axis=1) >= p.min_pts
+            first = [np.flatnonzero(labels[core] == c)[0] for c in range(labels.max() + 1)]
+            assert first == sorted(first)
+            graph = adj[core][:, core]
+            _, undirected = connected_components(graph, directed=False)
+            np.testing.assert_array_equal(labels[core], undirected)
 
     def test_border_point_joins_lowest_cluster(self):
         # m sits at distance eps from a core point of each cluster; the

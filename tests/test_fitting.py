@@ -722,6 +722,41 @@ class TestOptimizer:
         assert res.estimates["p"] < 1e-8
         assert res.loglik == pytest.approx(full.loglik, abs=1e-6)
 
+    def test_gaussian_vannman_steps_p_to_its_bound(self):
+        # p-hat = 0, where logit p flattens: Newton walked it down about one
+        # unit a step in 33 evaluations; a step that first tries p on its
+        # bound of the box takes 14
+        res = fit_mbw(vannman_data(), copula_family="gaussian", min_pts=4, eps=1.6,
+                      compute_ses=False)
+        assert res.boundary_flags == ["p"] and res.converged
+        assert res.n_evals <= 16
+
+    def test_bootstrap_refit_steps_p_to_its_bound(self):
+        # the vannman workload's seed 3, batch 1, resample 7, whose refit ends
+        # with p flagged: 33 evaluations walking logit p down, 16 with the
+        # step to its bound
+        data = vannman_data()
+        seed = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
+        sample = data[SeededStream(seed, 7).generator().integers(0, len(data), size=len(data))]
+        res = fit_mbw(sample, min_pts=4, eps=1.6, compute_ses=False)
+        assert "p" in res.boundary_flags and res.converged
+        assert res.n_evals <= 18
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_p_flagged_bootstrap_refits_take_few_evaluations(self, seed):
+        # of 183 GFGM Vannman refits that ended with p flagged, walking logit
+        # p down took 26 to 46 evaluations each, and with the step to p's
+        # bound 10 to 27, all but two at most 23
+        data = vannman_data()
+        sample = data[SeededStream(seed).generator().integers(0, len(data), size=len(data))]
+        try:
+            res = fit_mbw(sample, min_pts=4, eps=1.6, compute_ses=False)
+        except PACKAGE_ERRORS:
+            return
+        if "p" in res.boundary_flags:
+            assert res.n_evals <= 24
+
     @pytest.mark.parametrize("model, theta0, flags", [
         ("m3", (1.5, 2.0, 1.5, 2.0, -1 + 1e-4, 0.3), ["rho"]),
         ("m3", (1.5, 2.0, 1.5, 2.0, 1 - 1e-4, 0.3), ["rho"]),
@@ -910,7 +945,7 @@ def _row_by_row(model, data, settings, z):
         x, y, past, log_area = x[keep], y[keep], past[keep], 2 * np.log(d)
     p, n = theta[5], len(x)
     with np.errstate(all="ignore"):
-        logf, S, Q = _log_density_score(x, y, theta[:5], c)
+        logf, S, Q = _log_density_score(np.stack([x, y]), theta[:5], c)
         Hr = np.empty((n, 5, 5))
         for row, (i, j) in zip(Q, _PAIRS):
             Hr[:, i, j] = Hr[:, j, i] = row
@@ -988,7 +1023,8 @@ class TestScore:
         # normal score comes from the tail A lies in
         A = np.array([1e-300, 1e-13, 0.5, 45.0, 200.0, 700.0])
         logf, S, Q = _log_density_score(
-            np.sqrt(A), np.sqrt(A[::-1]), (2.0, 1.0, 2.0, 1.0, 0.6), GaussianCopulaParams(0.6))
+            np.stack([np.sqrt(A), np.sqrt(A[::-1])]), (2.0, 1.0, 2.0, 1.0, 0.6),
+            GaussianCopulaParams(0.6))
         assert np.all(np.isfinite(logf)) and np.all(np.isfinite(S)) and np.all(np.isfinite(Q))
         # the same rows in an M3 fit: a plateau row with A = 1e-13 and a row
         # past the square with A = 45
@@ -1045,9 +1081,9 @@ def _kernel_calls(monkeypatch):
     calls = []
     kernel = fitting._log_density_score
 
-    def spy(x, y, theta, c):
+    def spy(t, theta, c):
         calls.append(theta)
-        return kernel(x, y, theta, c)
+        return kernel(t, theta, c)
 
     monkeypatch.setattr(fitting, "_log_density_score", spy)
     return calls
